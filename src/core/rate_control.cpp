@@ -10,18 +10,18 @@ namespace moongen::core {
 // CrcGapFiller
 // ---------------------------------------------------------------------------
 
-std::vector<std::size_t> CrcGapFiller::fill(std::size_t gap_bytes) {
+void CrcGapFiller::fill(std::size_t gap_bytes, std::vector<std::size_t>& out) {
   std::size_t gap = gap_bytes + carry_;
   carry_ = 0;
-  std::vector<std::size_t> out;
-  if (gap == 0) return out;
+  out.clear();
+  if (gap == 0) return;
   if (gap < cfg_.min_wire_len) {
     // Unrepresentable short gap (0.8-60.8 ns at 10 GbE): skip the filler
     // here and lengthen a later gap instead; the average rate stays exact
     // (Section 8.4).
     carry_ = gap;
     ++skipped_;
-    return out;
+    return;
   }
   while (gap > 0) {
     std::size_t take;
@@ -34,7 +34,6 @@ std::vector<std::size_t> CrcGapFiller::fill(std::size_t gap_bytes) {
     out.push_back(take);
     gap -= take;
   }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ nic::Frame SimLoadGen::next_frame() {
     acc_ps_ -= static_cast<double>(gap_total) * static_cast<double>(byte_time_ps_);
     const std::size_t valid_wire = out.wire_bytes();
     const std::size_t filler_bytes = gap_total > valid_wire ? gap_total - valid_wire : 0;
-    pending_gaps_ = filler_->fill(filler_bytes);
+    filler_->fill(filler_bytes, pending_gaps_);
     pending_index_ = 0;
     tm_carry_.set(static_cast<double>(filler_->carry_bytes()));
   }

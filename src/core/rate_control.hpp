@@ -121,9 +121,11 @@ class CrcGapFiller {
  public:
   explicit CrcGapFiller(GapFillerConfig config = {}) : cfg_(config) {}
 
-  /// Returns the wire lengths of the invalid frames filling `gap_bytes` of
-  /// wire time. May return an empty vector (back-to-back, or carry-over).
-  std::vector<std::size_t> fill(std::size_t gap_bytes);
+  /// Replaces the contents of `out` with the wire lengths of the invalid
+  /// frames filling `gap_bytes` of wire time. `out` may end up empty
+  /// (back-to-back, or carry-over). Reusing one vector across calls keeps
+  /// the per-frame path allocation-free.
+  void fill(std::size_t gap_bytes, std::vector<std::size_t>& out);
 
   [[nodiscard]] std::size_t carry_bytes() const { return carry_; }
   [[nodiscard]] std::uint64_t skipped_gaps() const { return skipped_; }

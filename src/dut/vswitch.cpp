@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "proto/packet_view.hpp"
+#include "sim/bit_scan.hpp"
 
 namespace moongen::dut {
 
@@ -95,8 +96,15 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     vp.backlog.assign(VSwitchConfig::kPriorityClasses, 0);
   }
   for (std::size_t qi = 0; qi < tenants_.size(); ++qi) {
-    const QueueState& q = tenants_[qi];
-    vports_[static_cast<std::size_t>(q.cfg.vport)].members[q.cfg.priority].push_back(qi);
+    QueueState& q = tenants_[qi];
+    auto& members = vports_[static_cast<std::size_t>(q.cfg.vport)].members[q.cfg.priority];
+    q.member_pos = members.size();
+    members.push_back(qi);
+  }
+  for (VportState& vp : vports_) {
+    for (const auto& members : vp.members) {
+      vp.busy_members.emplace_back(sim::bitmap_words(members.size()));
+    }
   }
 
   rx_.set_callback([this](const nic::RxQueueModel::Entry&) { packet_arrived(); });
@@ -310,6 +318,7 @@ void VSwitch::enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood) 
   q.tm_matched.add(1);
   q.ring.push(std::move(frame));
   VportState& vp = vports_[static_cast<std::size_t>(q.cfg.vport)];
+  if (q.ring.count == 1) sim::assign_bit(vp.busy_members[q.cfg.priority], q.member_pos, true);
   ++vp.backlog[q.cfg.priority];
   ++vp.backlog_total;
   if (!vp.busy) {
@@ -332,26 +341,33 @@ void VSwitch::drain_vport(std::size_t vp_idx) {
   // Deficit round robin within the class. Each visit to a backlogged queue
   // with an insufficient deficit tops it up by one quantum and moves on;
   // the loop terminates because deficits only grow until a dequeue.
+  //
+  // The cursor jumps straight to the next busy member. That skips no DRR
+  // state: a ring only empties at the cursor (dequeues happen there), and
+  // the cursor leaves an empty queue only after zeroing its deficit, so
+  // every empty member off the cursor already holds deficit 0. The empty
+  // queue at the cursor is the one whose credit must still be dropped.
   const auto& members = vp.members[cls];
+  auto& busy = vp.busy_members[cls];
+  std::size_t& rr = vp.rr[cls];
   std::size_t winner = 0;
   nic::Frame frame;
   for (;;) {
-    std::size_t& rr = vp.rr[cls];
     QueueState& q = tenants_[members[rr]];
     if (q.ring.empty()) {
       q.deficit = 0;  // an idle queue must not bank credit (DRR rule)
-      rr = (rr + 1) % members.size();
-      continue;
+    } else {
+      const auto bytes = static_cast<std::uint32_t>(q.ring.front().wire_bytes());
+      if (q.deficit >= bytes) {
+        q.deficit -= bytes;
+        winner = members[rr];
+        frame = q.ring.pop();
+        if (q.ring.empty()) sim::assign_bit(busy, q.member_pos, false);
+        break;
+      }
+      q.deficit += q.cfg.quantum_bytes;
     }
-    const auto bytes = static_cast<std::uint32_t>(q.ring.front().wire_bytes());
-    if (q.deficit >= bytes) {
-      q.deficit -= bytes;
-      winner = members[rr];
-      frame = q.ring.pop();
-      break;
-    }
-    q.deficit += q.cfg.quantum_bytes;
-    rr = (rr + 1) % members.size();
+    rr = sim::next_set_bit_circular(busy, members.size(), (rr + 1) % members.size());
   }
 
   QueueState& q = tenants_[winner];

@@ -231,6 +231,8 @@ class VSwitch {
     TokenBucket bucket;
     TenantConfig cfg;
     std::uint32_t deficit = 0;
+    /// Position in its vport class's DRR rotation (bit in `busy_members`).
+    std::size_t member_pos = 0;
     std::vector<RetagCacheEntry> retag_cache;
     std::size_t retag_evict = 0;
     // books
@@ -251,6 +253,8 @@ class VSwitch {
     nic::Port* port = nullptr;
     nic::TxQueueModel* tx = nullptr;
     std::vector<std::vector<std::size_t>> members;  // per class: queue idxs
+    /// Per class: bitmap over `members` positions whose ring is non-empty.
+    std::vector<std::vector<std::uint64_t>> busy_members;
     std::vector<std::size_t> rr;                    // per class: DRR cursor
     std::vector<std::size_t> backlog;               // per class: queued frames
     std::size_t backlog_total = 0;
@@ -262,10 +266,9 @@ class VSwitch {
   void poll();
   void ingest(nic::Frame frame);
   /// Returns the queue index for the frame, or -1 when no table matched
-  /// (flood). Sets `*vid_matched` for telemetry.
+  /// (flood).
   [[nodiscard]] std::int32_t match(const nic::Frame& frame) const;
   void enqueue(std::size_t queue_idx, nic::Frame&& frame, bool is_flood);
-  void kick_vport(std::size_t vp_idx);
   void drain_vport(std::size_t vp_idx);
   /// Applies the queue's VLAN rewrite + flow label; COW-cached per source
   /// buffer.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "proto/packet_view.hpp"
+#include "sim/bit_scan.hpp"
 
 namespace moongen::nic {
 
@@ -20,7 +21,7 @@ constexpr sim::SimTime align_up(sim::SimTime t, sim::SimTime grid) {
 // ---------------------------------------------------------------------------
 
 bool TxQueueModel::post(Frame frame) {
-  if (mem_ring_.size() >= ring_capacity_) return false;
+  if (mem_ring_.full()) return false;
   mem_ring_.push_back(std::move(frame));
   port_->notify_tx_work(index_);
   return true;
@@ -39,6 +40,11 @@ void TxQueueModel::set_rate_mpps(double mpps, std::size_t frame_size) {
 void TxQueueModel::set_refill(std::function<Frame()> generator) {
   refill_ = std::move(generator);
   if (port_ != nullptr) port_->notify_tx_work(index_);
+}
+
+void TxQueueModel::set_fifo_capacity(std::size_t frames) {
+  fifo_.set_capacity(frames);  // shrinking drops the newest frames
+  port_->update_tx_state(*this);
 }
 
 // ---------------------------------------------------------------------------
@@ -68,24 +74,36 @@ Port::Port(sim::EventQueue& events, ChipSpec spec, std::uint64_t link_mbit, std:
       link_mbit_(link_mbit),
       byte_time_ps_(sim::byte_time_ps(link_mbit)),
       rng_(seed),
+      tx_queues_(static_cast<std::size_t>(spec_.num_queues)),
+      rx_queues_(static_cast<std::size_t>(spec_.num_queues)),
+      tx_candidate_(sim::bitmap_words(tx_queues_.size())),
+      tx_engaged_(sim::bitmap_words(tx_queues_.size())),
       ptp_clock_({.increment_ps = spec_.ptp_increment_ps,
                   .phase_step_ps = spec_.ptp_phase_step_ps},
                  seed ^ 0x9e3779b97f4a7c15ull) {
   // The pacing clock frequency scales with the link speed (Section 7.3).
   rate_tick_ps_ = spec_.rate_tick_at_max_speed_ps * (spec_.max_link_mbit / link_mbit_);
-  tx_queues_.reserve(static_cast<std::size_t>(spec_.num_queues));
-  rx_queues_.reserve(static_cast<std::size_t>(spec_.num_queues));
   for (int i = 0; i < spec_.num_queues; ++i) {
-    auto txq = std::make_unique<TxQueueModel>();
-    txq->port_ = this;
-    txq->index_ = i;
-    tx_queues_.push_back(std::move(txq));
-    rx_queues_.push_back(std::make_unique<RxQueueModel>());
+    TxQueueModel& q = tx_queues_[static_cast<std::size_t>(i)];
+    q.port_ = this;
+    q.index_ = i;
+  }
+}
+
+void Port::update_tx_state(const TxQueueModel& q) {
+  const auto i = static_cast<std::size_t>(q.index_);
+  const bool candidate = !q.fifo_.empty() || static_cast<bool>(q.refill_);
+  const bool engaged = candidate || !q.mem_ring_.empty();
+  sim::assign_bit(tx_candidate_, i, candidate);
+  if (engaged != sim::test_bit(tx_engaged_, i)) {
+    sim::assign_bit(tx_engaged_, i, engaged);
+    tx_engaged_count_ += engaged ? 1 : -1;
   }
 }
 
 void Port::notify_tx_work(int queue_index) {
-  auto& q = *tx_queues_[static_cast<std::size_t>(queue_index)];
+  auto& q = tx_queues_[static_cast<std::size_t>(queue_index)];
+  update_tx_state(q);
   if (!q.mem_ring_.empty()) schedule_fetch(q);
   if (q.refill_) try_transmit();
 }
@@ -104,11 +122,11 @@ void Port::schedule_fetch(TxQueueModel& q) {
 void Port::fetch_descriptors(TxQueueModel& q) {
   q.fetch_scheduled_ = false;
   std::size_t moved = 0;
-  while (!q.mem_ring_.empty() && q.fifo_.size() < q.fifo_capacity_frames_ &&
-         moved < dma_.fetch_batch) {
+  while (!q.mem_ring_.empty() && !q.fifo_.full() && moved < dma_.fetch_batch) {
     q.fifo_.push_back(q.mem_ring_.pop_front());
     ++moved;
   }
+  update_tx_state(q);
   if (!q.mem_ring_.empty()) {
     q.fetch_scheduled_ = true;
     events_.schedule_in_inline(dma_.fetch_interval_ps, [this, &q] { fetch_descriptors(q); });
@@ -119,18 +137,34 @@ void Port::fetch_descriptors(TxQueueModel& q) {
 void Port::try_transmit() {
   if (serializer_busy_ || !link_up_) return;
   const sim::SimTime now = events_.now();
-  const int n = spec_.num_queues;
+  const auto n = tx_queues_.size();
+  const std::size_t start = rr_next_;
   sim::SimTime earliest_blocked = UINT64_MAX;
-  for (int step = 0; step < n; ++step) {
-    const int idx = (rr_next_ + step) % n;
-    auto& q = *tx_queues_[static_cast<std::size_t>(idx)];
+  // Round robin from rr_next_ over candidates only: [start, n) then
+  // [0, start). A non-candidate would be skipped without side effects, so
+  // the visit order, generator pulls and wake time match a scan of every
+  // queue. The bitmap is re-read at each step because a refill source may
+  // post to other queues.
+  for (std::size_t pos = start, end = n;;) {
+    const std::size_t idx = sim::next_set_bit(tx_candidate_, pos, end);
+    if (idx == end) {
+      if (end == start) break;
+      pos = 0;
+      end = start;
+      continue;
+    }
+    pos = idx + 1;
+    auto& q = tx_queues_[idx];
     // Pull-on-demand: generate exactly the frame about to be considered, at
     // the time it is considered. Prefilling the FIFO to capacity here would
     // run the generator a whole FIFO ahead of the wire, so a frame marked
     // for timestamp sampling (SimLoadGen::mark_next_valid) would reach the
     // wire only after the pre-generated backlog drained — and batched and
     // unbatched runs would sample different packets.
-    if (q.fifo_.empty() && q.refill_) q.fifo_.push_back(q.refill_());
+    if (q.fifo_.empty() && q.refill_) {
+      q.fifo_.push_back(q.refill_());
+      update_tx_state(q);
+    }
     if (q.fifo_.empty()) continue;
     if (q.next_allowed_ps_ <= now) {
       rr_next_ = (idx + 1) % n;
@@ -165,14 +199,12 @@ bool Port::batching_allowed(const TxQueueModel& q) const {
   // Batch only while `q` is the sole engaged queue: with every other queue
   // empty (no FIFO frames, no in-flight descriptors, no refill source) the
   // round-robin arbiter would pick `q` at every frame boundary anyway.
-  for (const auto& other : tx_queues_) {
-    if (other.get() != &q && other->engaged()) return false;
-  }
-  return true;
+  return tx_engaged_count_ == 1 && sim::test_bit(tx_engaged_, static_cast<std::size_t>(q.index_));
 }
 
 void Port::start_transmission(TxQueueModel& q) {
   Frame frame = q.fifo_.pop_front();
+  update_tx_state(q);
 
   // Transmissions start aligned to the MAC clock grid (the MAC and the
   // timestamp unit share one clock, Section 6.1) — except back-to-back
@@ -254,6 +286,7 @@ void Port::start_batch_transmission(TxQueueModel& q) {
     bytes += wire;
     ++frames;
   }
+  update_tx_state(q);
 
   last_busy_end_ = t0;  // now the end of the batch's last frame
   // One completion event for the whole run; TX stats move at batch end
@@ -373,7 +406,7 @@ void Port::deliver_frame(const Frame& frame, sim::SimTime first_bit_ps) {
     } else if (rss_) {
       queue_index = rss_->steer(frame);
     }
-    auto& q = *rx_queues_[static_cast<std::size_t>(queue_index)];
+    auto& q = rx_queues_[static_cast<std::size_t>(queue_index)];
     // Injected overflow takes the same path as a genuinely full ring: only
     // the drop counter moves, software sees a gap in the stream. A genuine
     // overflow needs a stored ring, but the injected one models a MAC-FIFO
@@ -381,7 +414,7 @@ void Port::deliver_frame(const Frame& frame, sim::SimTime first_bit_ps) {
     // frames under RX pressure whether or not software polls a ring. The
     // full-ring check stays first so stored-mode probe sequences (and thus
     // per-site RNG streams) are unchanged.
-    const bool ring_full = q.store_ && q.ring_.size() >= q.ring_capacity_;
+    const bool ring_full = q.store_ && q.ring_.full();
     if (ring_full ||
         (fp_rx_overflow_.installed() && fp_rx_overflow_.fire(events_.now()) != nullptr)) {
       stats_.rx_ring_drops += 1;

@@ -99,7 +99,7 @@ class TxQueueModel {
   bool post(Frame frame);
 
   /// Number of free descriptor slots.
-  [[nodiscard]] std::size_t ring_free() const { return ring_capacity_ - mem_ring_.size(); }
+  [[nodiscard]] std::size_t ring_free() const { return mem_ring_.capacity() - mem_ring_.size(); }
 
   /// Configures the hardware rate limiter to `wire_mbit` Mbit/s measured on
   /// the wire (including preamble/IFG). 0 disables rate control.
@@ -117,28 +117,17 @@ class TxQueueModel {
   /// Bounds the on-chip FIFO lookahead (frames pulled from the refill
   /// source ahead of transmission). A small value keeps the generator's
   /// stream marking (timestamp sampling) responsive at low paced rates.
-  void set_fifo_capacity(std::size_t frames) {
-    fifo_capacity_frames_ = frames;
-    fifo_.set_capacity(frames);
-  }
+  void set_fifo_capacity(std::size_t frames);
 
   [[nodiscard]] double rate_wire_mbit() const { return rate_wire_mbit_; }
 
  private:
   friend class Port;
 
-  /// True if this queue could put a frame on the wire now or in the future
-  /// without further software action (used by the batching gate).
-  [[nodiscard]] bool engaged() const {
-    return !fifo_.empty() || !mem_ring_.empty() || static_cast<bool>(refill_);
-  }
-
   Port* port_ = nullptr;
   int index_ = 0;
-  std::size_t ring_capacity_ = 1024;
   membuf::BoundedRing<Frame> mem_ring_{1024};  // descriptors in main memory
   membuf::BoundedRing<Frame> fifo_{128};       // frames fetched into the on-chip FIFO
-  std::size_t fifo_capacity_frames_ = 128;
   bool fetch_scheduled_ = false;
 
   double rate_wire_mbit_ = 0.0;      // 0 = uncontrolled
@@ -176,10 +165,7 @@ class RxQueueModel {
   std::size_t drain_into(std::vector<Entry>& out, std::size_t max = SIZE_MAX);
 
   [[nodiscard]] std::size_t pending() const { return ring_.size(); }
-  void set_ring_capacity(std::size_t n) {
-    ring_capacity_ = n;
-    ring_.set_capacity(n);
-  }
+  void set_ring_capacity(std::size_t n) { ring_.set_capacity(n); }
 
   /// Sink mode: entries go to the callback only and are not stored in the
   /// ring (for measurement taps like the inter-arrival recorder that would
@@ -190,7 +176,6 @@ class RxQueueModel {
   friend class Port;
 
   membuf::BoundedRing<Entry> ring_{4096};
-  std::size_t ring_capacity_ = 4096;
   bool store_ = true;
   Callback callback_;
 };
@@ -216,8 +201,8 @@ class Port {
   [[nodiscard]] std::uint64_t link_mbit() const { return link_mbit_; }
   [[nodiscard]] sim::SimTime byte_time_ps() const { return byte_time_ps_; }
 
-  [[nodiscard]] TxQueueModel& tx_queue(int i) { return *tx_queues_.at(static_cast<std::size_t>(i)); }
-  [[nodiscard]] RxQueueModel& rx_queue(int i) { return *rx_queues_.at(static_cast<std::size_t>(i)); }
+  [[nodiscard]] TxQueueModel& tx_queue(int i) { return tx_queues_.at(static_cast<std::size_t>(i)); }
+  [[nodiscard]] RxQueueModel& rx_queue(int i) { return rx_queues_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] int num_queues() const { return spec_.num_queues; }
 
   void set_tx_sink(FrameSink* sink) { sink_ = sink; }
@@ -317,6 +302,9 @@ class Port {
   friend class TxQueueModel;
 
   void notify_tx_work(int queue_index);
+  /// Re-derives `q`'s bits in the arbiter bitmaps from its FIFO, descriptor
+  /// ring and refill source; called wherever one of those changes.
+  void update_tx_state(const TxQueueModel& q);
   void schedule_fetch(TxQueueModel& q);
   void fetch_descriptors(TxQueueModel& q);
   void try_transmit();
@@ -325,7 +313,8 @@ class Port {
   /// solely-engaged queue in one engine event.
   void start_batch_transmission(TxQueueModel& q);
   /// True when `q` may use the batched fast path: no hardware rate limiter
-  /// on `q` and every other queue idle, so arbitration is a no-op.
+  /// on `q` and every other queue idle, so arbitration is a no-op. O(1):
+  /// reads the engaged count.
   [[nodiscard]] bool batching_allowed(const TxQueueModel& q) const;
   void apply_rate_limit(TxQueueModel& q, const Frame& frame, sim::SimTime tx_start);
   [[nodiscard]] bool frame_matches_ptp_filter(const Frame& frame) const;
@@ -353,15 +342,25 @@ class Port {
   sim::SimTime rate_tick_ps_;
   std::mt19937_64 rng_;
 
-  std::vector<std::unique_ptr<TxQueueModel>> tx_queues_;
-  std::vector<std::unique_ptr<RxQueueModel>> rx_queues_;
+  // Sized once in the constructor and never resized: scheduled DMA events
+  // hold references to their queue.
+  std::vector<TxQueueModel> tx_queues_;
+  std::vector<RxQueueModel> rx_queues_;
+  // Arbiter state, one bit per TX queue. A *candidate* can be offered to
+  // the arbiter now (FIFO frames or a refill source); an *engaged* queue is
+  // a candidate or has descriptors in its memory ring. try_transmit visits
+  // candidates only and batching_allowed reads the engaged count, so
+  // neither pays for idle queues.
+  std::vector<std::uint64_t> tx_candidate_;
+  std::vector<std::uint64_t> tx_engaged_;
+  int tx_engaged_count_ = 0;
   FrameSink* sink_ = nullptr;
 
   bool serializer_busy_ = false;
   sim::SimTime last_busy_end_ = UINT64_MAX;  // sentinel: first frame aligns
   bool wake_scheduled_ = false;
   sim::SimTime scheduled_wake_ps_ = 0;
-  int rr_next_ = 0;  // round-robin arbiter position
+  std::size_t rr_next_ = 0;  // round-robin arbiter position
   std::size_t tx_batch_frames_ = 16;
   sim::SimTime tx_batch_barrier_ = 0;
   bool link_up_ = true;

@@ -183,12 +183,14 @@ TEST(EdgeCases, GapFillerMinEqualsMax) {
   cfg.min_wire_len = 100;
   cfg.max_wire_len = 100;
   mc::CrcGapFiller filler(cfg);
-  const auto out = filler.fill(300);
+  std::vector<std::size_t> out;
+  filler.fill(300, out);
   EXPECT_EQ(out.size(), 3u);
   for (auto piece : out) EXPECT_EQ(piece, 100u);
   // 250 = 2 x 100 + 50 carry.
   mc::CrcGapFiller f2(cfg);
-  const auto out2 = f2.fill(250);
+  std::vector<std::size_t> out2;
+  f2.fill(250, out2);
   std::size_t total = 0;
   for (auto piece : out2) total += piece;
   EXPECT_EQ(total + f2.carry_bytes(), 250u);

@@ -290,6 +290,117 @@ TEST(VSwitch, DrrSharesClassBandwidthByQuantum) {
   bed.check_conservation();
 }
 
+namespace {
+
+/// Egress order and books of one DRR run; see run_two_tenant_drr.
+struct DrrRun {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> egress;  // (flow, seq) in wire order
+  md::TenantCounters a, b;
+  std::uint64_t received = 0, matched = 0, emitted = 0, queue_drops = 0;
+};
+
+/// Tenants A (vid 10) and B (vid 20) contend for vport 0 in class 0 with
+/// different quanta and frame sizes: 4 ms of overload, then 4 ms below the
+/// vport rate so the queues keep emptying and refilling. `idle` members
+/// without traffic sit in the same class, half between A and B, half after B.
+DrrRun run_two_tenant_drr(std::size_t idle) {
+  md::TenantConfig a = tenant(10, 0, 0);
+  a.quantum_bytes = 700;
+  a.flow = 1;
+  md::TenantConfig b = tenant(20, 0, 0);
+  b.quantum_bytes = 1'600;
+  b.flow = 2;
+  md::TenantConfig quiet = tenant(0, 0, 0);
+  quiet.queue_frames = 1;
+  md::VSwitchConfig cfg;
+  cfg.tenants.push_back(a);
+  cfg.tenants.insert(cfg.tenants.end(), idle / 2, quiet);
+  const std::size_t b_index = cfg.tenants.size();
+  cfg.tenants.push_back(b);
+  cfg.tenants.insert(cfg.tenants.end(), idle - idle / 2, quiet);
+
+  VsBed bed(cfg, /*out_mbit=*/1'000);
+  auto& q = bed.gen_tx.tx_queue(0);
+  q.set_rate_wire_mbit(3'000.0);
+  auto gen = mc::SimLoadGen::hardware_paced(q, tagged_frame(10));
+  gen->set_templates(
+      {tagged_frame(10, 0, 128), tagged_frame(20, 0, 700), tagged_frame(10, 0, 300)});
+  bed.events.schedule_at(4 * ms::kPsPerMs, [&q] { q.set_rate_wire_mbit(700.0); });
+  bed.events.run_until(8 * ms::kPsPerMs);
+
+  DrrRun run;
+  for (const auto& e : bed.sink0.rx_queue(0).drain()) {
+    run.egress.emplace_back(e.frame.flow, e.frame.seq);
+  }
+  run.a = bed.vsw.tenant_counters(0);
+  run.b = bed.vsw.tenant_counters(b_index);
+  run.received = bed.vsw.received();
+  run.matched = bed.vsw.matched();
+  run.emitted = bed.vsw.emitted();
+  run.queue_drops = bed.vsw.queue_drops();
+  bed.check_conservation();
+  return run;
+}
+
+void expect_same_books(const md::TenantCounters& x, const md::TenantCounters& y) {
+  EXPECT_EQ(x.matched, y.matched);
+  EXPECT_EQ(x.emitted, y.emitted);
+  EXPECT_EQ(x.emitted_wire_bytes, y.emitted_wire_bytes);
+  EXPECT_EQ(x.shaped_drops, y.shaped_drops);
+  EXPECT_EQ(x.queue_drops, y.queue_drops);
+  EXPECT_EQ(x.queued, y.queued);
+}
+
+}  // namespace
+
+TEST(VSwitch, DrrDecisionsIgnoreIdleClassMembers) {
+  const DrrRun dense = run_two_tenant_drr(0);
+  const DrrRun sparse = run_two_tenant_drr(2'000);
+  ASSERT_GT(dense.egress.size(), 1'000u);
+  EXPECT_GT(dense.a.queue_drops, 0u);  // the overload phase really contended
+  EXPECT_GT(dense.b.queue_drops, 0u);
+  ASSERT_EQ(dense.egress, sparse.egress);
+  expect_same_books(dense.a, sparse.a);
+  expect_same_books(dense.b, sparse.b);
+  EXPECT_EQ(dense.received, sparse.received);
+  EXPECT_EQ(dense.matched, sparse.matched);
+  EXPECT_EQ(dense.emitted, sparse.emitted);
+  EXPECT_EQ(dense.queue_drops, sparse.queue_drops);
+}
+
+TEST(VSwitch, QueueRefilledAtCursorKeepsLeftoverDeficit) {
+  // Pins the DRR leftover-credit rule. A (quantum 1200) and B (quantum 600)
+  // are both backlogged when the vport frees up: A is topped up, B is
+  // topped up to 600, and A sends a 400-byte frame, keeping 800 bytes of
+  // credit while its ring is empty at the cursor. A's next frame arrives
+  // before the next drain, so A sends again on that credit before B. A
+  // rule that dropped credit as soon as a ring empties would send B first
+  // (B already holds enough credit for its 500-byte frame).
+  md::TenantConfig a = tenant(10, 0, 0);
+  a.quantum_bytes = 1'200;
+  a.flow = 1;
+  md::TenantConfig b = tenant(20, 0, 0);
+  b.quantum_bytes = 600;
+  b.flow = 2;
+  md::TenantConfig c = tenant(30, 0, /*priority=*/1);
+  c.flow = 3;
+  md::VSwitchConfig cfg;
+  cfg.tenants = {a, b, c};
+  VsBed bed(cfg, /*out_mbit=*/1'000);
+  // Wire bytes are size + 24 (FCS, preamble, IFG). C's frame occupies the
+  // vport (8.2 us) while A1 and B1 queue behind it; A2 is switched while
+  // A1 serializes (3.2 us).
+  bed.vs_in.deliver_frame(tagged_frame(30, 0, 1'000), 0);        // C1
+  bed.vs_in.deliver_frame(tagged_frame(10, 0, 376), 600'000);    // A1, 400 B
+  bed.vs_in.deliver_frame(tagged_frame(20, 0, 476), 700'000);    // B1, 500 B
+  bed.vs_in.deliver_frame(tagged_frame(10, 0, 76), 10'300'000);  // A2, 100 B
+  bed.events.run_until(ms::kPsPerMs);
+  std::vector<std::uint32_t> order;
+  for (const auto& e : bed.sink0.rx_queue(0).drain()) order.push_back(e.frame.flow);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{3, 1, 1, 2}));
+  bed.check_conservation();
+}
+
 // ---------------------------------------------------------------------------
 // VLAN rewrite
 // ---------------------------------------------------------------------------
