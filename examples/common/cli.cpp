@@ -23,8 +23,7 @@ std::optional<Cli> parse_cli(int argc, char** argv, const char* usage) {
     const char* a = argv[i];
     const bool has_value = i + 1 < argc;
     const bool takes_value = std::strcmp(a, "--json") == 0 || std::strcmp(a, "--faults") == 0 ||
-                             std::strcmp(a, "--seed") == 0 || std::strcmp(a, "--shards") == 0 ||
-                             std::strcmp(a, "--stream") == 0;
+                             std::strcmp(a, "--seed") == 0 || std::strcmp(a, "--shards") == 0;
     if (takes_value && !has_value) {
       std::fprintf(stderr, "%s requires a value\n%s", a, usage != nullptr ? usage : "");
       return std::nullopt;
@@ -33,8 +32,6 @@ std::optional<Cli> parse_cli(int argc, char** argv, const char* usage) {
       cli.json_path = argv[++i];
     } else if (std::strcmp(a, "--faults") == 0) {
       cli.faults_text = argv[++i];
-    } else if (std::strcmp(a, "--stream") == 0) {
-      cli.stream_path = argv[++i];
     } else if (std::strcmp(a, "--seed") == 0) {
       cli.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(a, "--shards") == 0) {

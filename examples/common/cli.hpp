@@ -4,12 +4,14 @@
 // re-implemented the strcmp loop (and most silently ignored flags the
 // others supported):
 //
-//   --json FILE     write the telemetry snapshot series as JSON
+//   --json FILE     write telemetry to FILE as newline-delimited JSON:
+//                   snapshots + RTT windows every 100 ms of virtual time
+//                   and a final snapshot (telemetry_out.hpp), or one
+//                   snapshot for the examples without a simulated run;
+//                   stdout stays byte-identical to a run without it
 //   --faults SPEC   install a fault plane (src/fault/fault.hpp language)
 //   --seed N        base seed for the scenario (default 1)
 //   --shards N      simulation shards for parallel execution (default 1)
-//   --stream FILE   stream telemetry snapshots + RTT windows to FILE
-//                   (stdout stays byte-identical to an unstreamed run)
 //
 // Everything else stays positional and is interpreted per example.
 #pragma once
@@ -27,14 +29,12 @@ struct Cli {
   std::string json_path;
   std::string faults_text;
   fault::FaultSpec faults;
-  std::string stream_path;
   std::uint64_t seed = 1;
   int shards = 1;
   std::vector<std::string> positional;
 
   [[nodiscard]] bool has_json() const { return !json_path.empty(); }
   [[nodiscard]] bool has_faults() const { return !faults.empty(); }
-  [[nodiscard]] bool has_stream() const { return !stream_path.empty(); }
 
   /// Positional argument `i` as a double, or `dflt` when absent.
   [[nodiscard]] double number(std::size_t i, double dflt) const;

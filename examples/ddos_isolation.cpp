@@ -26,9 +26,9 @@
 //
 // `--faults SPEC` drives attacker flap dynamics and switch fault sites, e.g.
 //   --faults "stall@vswitch.stall:p=0.001;loss@vswitch.drop:p=0.01"
-// `--stream FILE` streams per-window RTT groups (per-tenant quantiles).
+// `--json FILE` writes per-window snapshots and RTT groups (per-tenant
+// quantiles) as newline-delimited JSON.
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,10 +37,9 @@
 #include "dut/vswitch.hpp"
 #include "health/monitor.hpp"
 #include "nic/chip.hpp"
-#include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
-#include "telemetry/sampler.hpp"
+#include "telemetry_out.hpp"
 #include "testbed/scenario.hpp"
 
 namespace mc = moongen::core;
@@ -57,7 +56,6 @@ namespace {
 constexpr const char* kUsage =
     "usage: ddos_isolation [attack_mbit] [shape_mbit] [seconds] [tenants]\n"
     "                      [--json FILE] [--faults SPEC] [--seed N] [--shards N]\n"
-    "                      [--stream FILE]\n"
     "  attack_mbit  attacker offered load, burst trains (default 8000)\n"
     "  shape_mbit   attacker tenant's token-bucket rate, 0 = unshaped (default 200)\n"
     "  tenants      number of background tenants (default 2000)\n";
@@ -159,7 +157,7 @@ int main(int argc, char** argv) {
                       .link(2, 3).with_seed(8).latency_ns(25'000)
                       .link(4, 5).with_seed(9).latency_ns(5'000)
                       .vswitch(1, {2, 4}, cfg);
-  if (cli->has_stream()) scenario.stream_telemetry(cli->stream_path, 100'000'000);
+  if (cli->has_json()) scenario.stream_telemetry(cli->json_path);
   auto tb = scenario.build();
   mt::MetricRegistry& registry = tb->registry();
 
@@ -209,16 +207,6 @@ int main(int argc, char** argv) {
   mh::HealthMonitor mon(*tb, hc);
   mon.start(end_ps);
 
-  mt::SamplerConfig sampler_cfg;
-  sampler_cfg.period_ns = 100'000'000;
-  mt::Sampler sampler(registry, [&tb] { return tb->now() / 1'000; }, sampler_cfg);
-  std::function<void()> sample_tick = [&] {
-    tb->publish_engine_telemetry();
-    sampler.poll();
-    if (tb->now() < end_ps) tb->schedule_global(tb->now() + 100 * ms::kPsPerMs, sample_tick);
-  };
-  if (cli->has_json()) tb->schedule_global(0, sample_tick);
-
   tb->run_until(end_ps);
 
   // --- report (virtual-time values only: identical across shard counts) -----
@@ -265,19 +253,8 @@ int main(int argc, char** argv) {
     std::printf("  %s: %s\n", v.checker.c_str(), v.detail.c_str());
 
   if (cli->has_json()) {
-    tb->publish_engine_telemetry();
     registry.shard(0).gauge("attacker.emitted_mbit").set(attacker_emitted_mbit);
-    sampler.sample_now();
-    if (mt::dump_json_series_to_file(cli->json_path, sampler.series()))
-      std::fprintf(stderr, "telemetry series written to %s\n", cli->json_path.c_str());
-    else
-      std::fprintf(stderr, "failed to write telemetry series to %s\n", cli->json_path.c_str());
-  }
-  if (cli->has_stream() && tb->stream() != nullptr) {
-    std::fprintf(stderr, "telemetry streamed to %s (%llu ticks, %llu rtt windows)\n",
-                 cli->stream_path.c_str(),
-                 static_cast<unsigned long long>(tb->stream()->ticks()),
-                 static_cast<unsigned long long>(tb->stream()->windows_streamed()));
+    me::finish_telemetry(*tb);
   }
   return violations.empty() ? 0 : 1;
 }

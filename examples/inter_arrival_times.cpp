@@ -7,8 +7,8 @@
 // Figure 8.
 //
 // With `--json FILE` the final measurement (sample count, micro-burst
-// fraction, the within-window fractions) is exported as a one-snapshot
-// telemetry series; stdout is unchanged.
+// fraction, the within-window fractions) is written as one telemetry
+// snapshot line; stdout is unchanged.
 //
 // Usage: inter_arrival_times [kpps] [mechanism: hw|crc|pktgen|zsend]
 #include <cstdio>
@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
       registry.shard(0).gauge("interarrival.within_" + std::to_string(w / 1000) + "ns")
           .set(recorder.fraction_within(target, w));
     }
-    const std::vector<mt::Snapshot> series{registry.snapshot(ms::kPsPerSec / 1'000)};
-    if (mt::dump_json_series_to_file(cli->json_path, series))
+    if (mt::dump_json_to_file(cli->json_path, registry.snapshot(ms::kPsPerSec / 1'000)))
       std::fprintf(stderr, "telemetry written to %s\n", cli->json_path.c_str());
     else
       std::fprintf(stderr, "failed to write telemetry to %s\n", cli->json_path.c_str());

@@ -12,8 +12,9 @@
 // software rate control (Section 8.3).
 //
 // With `--json FILE` the telemetry registry (port TX/RX counters, load
-// generator valid/gap split, latency histogram) is sampled every 100 ms of
-// virtual time and the snapshot series is written as JSON (schema in
+// generator valid/gap split, latency histogram) and each closed RTT window
+// are written to FILE every 100 ms of virtual time, plus a final snapshot
+// with the end-of-run gauges, as newline-delimited JSON (schema in
 // DESIGN.md, "Telemetry"); stdout is unchanged.
 //
 // With `--faults SPEC` a deterministic fault plane is installed on the
@@ -25,7 +26,6 @@
 // DuT pair) run on parallel event engines bridged by the cables' latency
 // (DESIGN.md Section 10); the output is byte-identical to --shards 1.
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -33,9 +33,8 @@
 #include "core/rate_control.hpp"
 #include "core/timestamper.hpp"
 #include "nic/chip.hpp"
-#include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/sampler.hpp"
+#include "telemetry_out.hpp"
 #include "testbed/scenario.hpp"
 
 namespace mc = moongen::core;
@@ -49,8 +48,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: l2_load_latency [rate_mpps] [seconds] [cbr|poisson]\n"
-    "                       [--json FILE] [--faults SPEC] [--seed N] [--shards N]\n"
-    "                       [--stream FILE]\n";
+    "                       [--json FILE] [--faults SPEC] [--seed N] [--shards N]\n";
 
 }  // namespace
 
@@ -82,7 +80,7 @@ int main(int argc, char** argv) {
                       .link(2, 3).with_seed(6)
                       .forwarder(1, 2)
                       .couple(0, 3);
-  if (cli->has_stream()) scenario.stream_telemetry(cli->stream_path, 100'000'000);
+  if (cli->has_json()) scenario.stream_telemetry(cli->json_path);
   auto tb = scenario.build();
   mt::MetricRegistry& registry = tb->registry();
   registry.shard(0).gauge("load.offered_mpps").set(rate_mpps);
@@ -119,20 +117,7 @@ int main(int argc, char** argv) {
   ts.bind_telemetry(registry, "timestamper");
   ts.start();
 
-  // Sample the registry every 100 ms of *virtual* time on the global
-  // timeline: the tick runs while every shard is quiesced at the sample
-  // instant, so the snapshot is a consistent cut across shards.
-  mt::SamplerConfig sampler_cfg;
-  sampler_cfg.period_ns = 100'000'000;
-  mt::Sampler sampler(registry, [&tb] { return tb->now() / 1'000; }, sampler_cfg);
   const auto end_ps = static_cast<ms::SimTime>(seconds * 1e12);
-  std::function<void()> sample_tick = [&] {
-    tb->publish_engine_telemetry();  // engine deltas are flushed, not per-event
-    sampler.poll();
-    if (tb->now() < end_ps) tb->schedule_global(tb->now() + 100 * ms::kPsPerMs, sample_tick);
-  };
-  if (cli->has_json()) tb->schedule_global(0, sample_tick);
-
   tb->run_until(end_ps);
   ts.stop();
 
@@ -151,7 +136,7 @@ int main(int argc, char** argv) {
               static_cast<double>(h.percentile(99)) / 1e6, ts.latency_ns().max() / 1e3);
   // Always-on in-path RTT plane: every frame's end-to-end latency, not just
   // the timestamper's samples. Deterministic across shard counts and
-  // unchanged by --stream (virtual-time values, commutative merges).
+  // unchanged by --json (virtual-time values, commutative merges).
   {
     auto& plane = tb->rtt_plane();
     const auto cum = plane.cumulative();
@@ -189,22 +174,11 @@ int main(int argc, char** argv) {
   }
 
   if (cli->has_json()) {
-    tb->publish_engine_telemetry();  // engine.events_executed / wheel / heap / rate
     registry.shard(0).gauge("load.forwarded_mpps")
         .set(static_cast<double>(forwarder.forwarded()) / seconds / 1e6);
     registry.shard(0).gauge("dut.interrupts").set(static_cast<double>(forwarder.interrupts()));
     registry.shard(0).gauge("dut.polls").set(static_cast<double>(forwarder.polls()));
-    sampler.sample_now();  // final snapshot incl. the end-of-run gauges
-    if (mt::dump_json_series_to_file(cli->json_path, sampler.series()))
-      std::fprintf(stderr, "telemetry series written to %s\n", cli->json_path.c_str());
-    else
-      std::fprintf(stderr, "failed to write telemetry series to %s\n", cli->json_path.c_str());
-  }
-  if (cli->has_stream() && tb->stream() != nullptr) {
-    std::fprintf(stderr, "telemetry streamed to %s (%llu ticks, %llu rtt windows)\n",
-                 cli->stream_path.c_str(),
-                 static_cast<unsigned long long>(tb->stream()->ticks()),
-                 static_cast<unsigned long long>(tb->stream()->windows_streamed()));
+    me::finish_telemetry(*tb);
   }
   return 0;
 }

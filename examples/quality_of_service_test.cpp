@@ -11,8 +11,8 @@
 //   loadSlave()    -> load_slave(): pre-filled mempool, per-packet edit
 //   counterSlave() -> counter_slave(): per-port RX counters
 // With `--json FILE` the end-of-run totals (per-flow TX/RX packets and
-// the receiver's ring drops) are exported as a one-snapshot telemetry
-// series; stdout is unchanged.
+// the receiver's ring drops) are written as one telemetry snapshot line;
+// stdout is unchanged.
 //
 // After the fast-path run, a simulated cross-check sends the same two
 // classes as 802.1Q-tagged frames whose PCP is stamped into `Frame.flow`
@@ -256,8 +256,7 @@ int main(int argc, char** argv) {
       registry.shard(0).gauge("qos.rx.port" + std::to_string(port)).set(static_cast<double>(pkts));
     registry.shard(0).gauge("qos.rx.ring_drops")
         .set(static_cast<double>(r_dev.get_rx_queue(0).ring_drops()));
-    const std::vector<mt::Snapshot> series{registry.snapshot()};
-    if (mt::dump_json_series_to_file(cli->json_path, series))
+    if (mt::dump_json_to_file(cli->json_path, registry.snapshot()))
       std::fprintf(stderr, "telemetry written to %s\n", cli->json_path.c_str());
     else
       std::fprintf(stderr, "failed to write telemetry to %s\n", cli->json_path.c_str());

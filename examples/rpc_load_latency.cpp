@@ -18,7 +18,10 @@
 //             side (the open-vs-closed experiment).
 //
 // With `--json FILE` the telemetry registry (client/server gauges, engine
-// counters) is sampled every 100 ms of virtual time; stdout is unchanged.
+// counters) and each closed RTT window are written to FILE every 100 ms of
+// virtual time, plus a final snapshot, as newline-delimited JSON (compare
+// mode writes the closed-loop run to FILE.closed.json); stdout is
+// unchanged.
 // With `--faults SPEC` the fault plane also drives server stalls (sites
 // rpc.s0 / rpc.s1) next to the usual wire faults. With `--shards N` the
 // pairs run on parallel engines; output is byte-identical to --shards 1.
@@ -26,7 +29,6 @@
 // usage: rpc_load_latency [offered_krps] [seconds] [open|closed|compare]
 //                         [service_us] [workers]
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,9 +37,8 @@
 #include "nic/chip.hpp"
 #include "rpc/open_loop.hpp"
 #include "rpc/server_model.hpp"
-#include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/sampler.hpp"
+#include "telemetry_out.hpp"
 #include "testbed/scenario.hpp"
 
 namespace me = moongen::examples;
@@ -99,6 +100,8 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
         .with_seed(30 + static_cast<std::uint64_t>(i))
         .duplex();
   }
+  if (cli.has_json())
+    s.stream_telemetry(p.closed ? cli.json_path + ".closed.json" : cli.json_path);
   auto tb = s.build();
   mt::MetricRegistry& registry = tb->registry();
 
@@ -156,20 +159,14 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
     return *open_gens[static_cast<std::size_t>(i)];
   };
 
-  // Consistent-cut telemetry snapshots every 100 ms of virtual time.
-  mt::SamplerConfig sampler_cfg;
-  sampler_cfg.period_ns = 100'000'000;
-  mt::Sampler sampler(registry, [&tb] { return tb->now() / 1'000; }, sampler_cfg);
-  std::function<void()> sample_tick = [&] {
-    tb->publish_engine_telemetry();
-    for (int i = 0; i < kPairs; ++i) {
+  // Clients and servers batch their gauges; publish them with every
+  // snapshot of the telemetry stream.
+  for (int i = 0; i < kPairs; ++i) {
+    tb->on_publish([&client_at, &servers, i] {
       client_at(i).publish_telemetry();
       servers[static_cast<std::size_t>(i)]->publish_telemetry();
-    }
-    sampler.poll();
-    if (tb->now() < end_ps) tb->schedule_global(tb->now() + 100 * ms::kPsPerMs, sample_tick);
-  };
-  if (cli.has_json()) tb->schedule_global(0, sample_tick);
+    });
+  }
 
   // Run past the stop to drain responses (and one timeout sweep) in flight.
   tb->run_until(end_ps + 60 * ms::kPsPerMs);
@@ -192,20 +189,7 @@ RunResult run_mode(const me::Cli& cli, const RunParams& p) {
   out.fault_fires = tb->fault_fires();
   for (int i = 0; i < 2 * kPairs; ++i) out.link_resumes += tb->port(i).stats().link_up_events;
 
-  if (cli.has_json()) {
-    tb->publish_engine_telemetry();
-    for (int i = 0; i < kPairs; ++i) {
-      client_at(i).publish_telemetry();
-      servers[static_cast<std::size_t>(i)]->publish_telemetry();
-    }
-    sampler.sample_now();
-    const std::string path =
-        p.closed ? cli.json_path + ".closed.json" : cli.json_path;
-    if (mt::dump_json_series_to_file(path, sampler.series()))
-      std::fprintf(stderr, "telemetry series written to %s\n", path.c_str());
-    else
-      std::fprintf(stderr, "failed to write telemetry series to %s\n", path.c_str());
-  }
+  me::finish_telemetry(*tb);
   return out;
 }
 

@@ -31,11 +31,6 @@ HistogramHandle MetricTree::histogram(const std::string& name, HistogramConfig c
   return HistogramHandle{slot.get()};
 }
 
-std::size_t MetricTree::slot_count() const {
-  std::scoped_lock lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 void MetricTree::visit_counters(
     const std::function<void(const std::string&, std::uint64_t)>& fn) const {
   std::scoped_lock lock(mutex_);

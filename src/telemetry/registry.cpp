@@ -12,11 +12,6 @@ MetricTree& MetricRegistry::shard(std::size_t index) {
   return *trees_[index];
 }
 
-std::size_t MetricRegistry::tree_count() const {
-  std::scoped_lock lock(mutex_);
-  return trees_.size();
-}
-
 Snapshot MetricRegistry::snapshot(std::uint64_t timestamp_ns) const {
   // Merge under name-sorted maps: counters sum, gauges last-writer-wins in
   // (tree 0, tree 1, ...) order, histograms merge losslessly.

@@ -6,8 +6,8 @@
 // wiring time from the tree of the simulation shard that owns them, and
 // hot-path updates are raw slot bumps with no name or shard lookup.
 // `snapshot()` merges every tree into one consistent, name-sorted view for
-// the Sampler and the exporters: counters sum across trees, histograms
-// merge losslessly (identical geometry enforced), gauges are
+// the telemetry stream and the JSON writer: counters sum across trees,
+// histograms merge losslessly (identical geometry enforced), gauges are
 // last-writer-wins in shard order.
 //
 // The name-keyed shared-instrument accessors (`counter()` / `gauge()` /
@@ -59,9 +59,6 @@ class MetricRegistry {
   /// Tree 0 doubles as the default tree for single-shard and main-thread
   /// components. References stay valid for the registry's lifetime.
   [[nodiscard]] MetricTree& shard(std::size_t index = 0);
-
-  /// Number of shard trees created so far.
-  [[nodiscard]] std::size_t tree_count() const;
 
   /// Merged view across every shard tree. Exact at quiesced instants
   /// (window boundaries, after run_until).

@@ -1,34 +1,20 @@
 #include "telemetry/stream.hpp"
 
-#include <stdexcept>
 #include <utility>
+
+#include "telemetry/exporters.hpp"
 
 namespace moongen::telemetry {
 
-TelemetryStream::TelemetryStream(MetricRegistry& registry, TelemetryStreamConfig cfg)
-    : registry_(registry), cfg_(std::move(cfg)) {
-  exporter_ = make_exporter(cfg_.format);
-  if (exporter_ == nullptr)
-    throw std::invalid_argument("TelemetryStream: unknown format '" + cfg_.format + "'");
-  out_.open(cfg_.path, std::ios::out | std::ios::trunc);
-  if (!out_.is_open())
-    throw std::runtime_error("TelemetryStream: cannot open '" + cfg_.path + "'");
-}
+TelemetryStream::TelemetryStream(const MetricRegistry& registry, std::string path)
+    : registry_(registry), path_(std::move(path)), out_(path_, std::ios::out | std::ios::trunc) {}
 
-void TelemetryStream::tick(std::uint64_t now_ps) {
-  const Snapshot snap = registry_.snapshot((now_ps + 500) / 1000);
-  exporter_->write(out_, snap);
-  if (plane_ != nullptr) {
-    // Closed windows are retained in a bounded deque; stream whatever is
-    // still held of the ones closed since the last tick. With any sane
-    // tick period (>= window period) nothing is ever evicted unseen.
-    const std::uint64_t closed = plane_->windows_closed();
-    const auto& retained = plane_->windows();
-    std::uint64_t first_retained = plane_->windows_evicted();
-    std::uint64_t from = windows_streamed_ < first_retained ? first_retained : windows_streamed_;
-    for (std::uint64_t i = from; i < closed; ++i)
-      RttPlane::write_window_json(out_, retained[static_cast<std::size_t>(i - first_retained)]);
-    windows_streamed_ = closed;
+void TelemetryStream::tick(std::uint64_t now_ps, const RttWindow* closed) {
+  write_json(out_, registry_.snapshot((now_ps + 500) / 1000));
+  out_ << '\n';
+  if (closed != nullptr) {
+    RttPlane::write_window_json(out_, *closed);
+    ++windows_streamed_;
   }
   out_.flush();
   ++ticks_;

@@ -1,12 +1,13 @@
-// TelemetryStream: push-based export without perturbing the run.
+// TelemetryStream: the `--json` export, written without perturbing the run.
 //
 // A week-long soak cannot wait for an end-of-run snapshot, and polling the
 // registry from another thread would race the shards. Instead the stream
-// is ticked at quiesced window boundaries (a ParallelRuntime window hook):
-// every tick appends one registry snapshot — stamped with virtual time —
-// to the output file in the chosen exporter format, followed by every RTT
-// window the plane closed since the previous tick as one JSON line each
-// (schema "moongen-rtt-window-v1").
+// is ticked from the RTT plane's window-close hook, at quiesced 100 ms
+// boundaries of virtual time: every tick appends one registry snapshot
+// line (schema "moongen-telemetry-v1", stamped with virtual time) followed
+// by the RTT window that hook just closed (schema "moongen-rtt-window-v1").
+// The owner adds one last tick after the run with the end-of-run values.
+// The file is newline-delimited JSON, one object per line.
 //
 // Everything goes to the file, never stdout: an instrumented run's stdout
 // stays byte-identical to an uninstrumented one, which is what the CI
@@ -15,50 +16,35 @@
 
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 
-#include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/rtt_plane.hpp"
 
 namespace moongen::telemetry {
 
-struct TelemetryStreamConfig {
-  std::string path;
-  /// Tick period in picoseconds of virtual time (informational here; the
-  /// owner registers the window hook with this period).
-  std::uint64_t period_ps = 100'000'000'000ull;
-  /// "json", "csv" or "prometheus" (see make_exporter).
-  std::string format = "json";
-};
-
 class TelemetryStream {
  public:
-  /// Opens `cfg.path` for writing; throws std::runtime_error if the file
-  /// cannot be opened or std::invalid_argument on an unknown format.
-  TelemetryStream(MetricRegistry& registry, TelemetryStreamConfig cfg);
+  /// Opens `path` for writing. A path that cannot be opened is not an
+  /// error here: it is reported through ok(), like any failed write.
+  TelemetryStream(const MetricRegistry& registry, std::string path);
   TelemetryStream(const TelemetryStream&) = delete;
   TelemetryStream& operator=(const TelemetryStream&) = delete;
 
-  /// Also stream the plane's closed windows (one JSON line per window).
-  void attach_rtt(const RttPlane* plane) { plane_ = plane; }
+  /// Appends one snapshot (timestamped `now_ps`, converted to ns), then
+  /// `closed` if given, then flushes. Must run at a quiesced instant.
+  void tick(std::uint64_t now_ps, const RttWindow* closed = nullptr);
 
-  /// Appends one snapshot (timestamped `now_ps`, converted to ns) plus any
-  /// newly closed RTT windows, then flushes. Must run at a quiesced
-  /// instant — wire it as a ParallelRuntime window hook.
-  void tick(std::uint64_t now_ps);
-
+  /// False once opening, a write or a flush has failed (sticky).
+  [[nodiscard]] bool ok() const { return !out_.fail(); }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
   [[nodiscard]] std::uint64_t windows_streamed() const { return windows_streamed_; }
-  [[nodiscard]] const TelemetryStreamConfig& config() const { return cfg_; }
+  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  MetricRegistry& registry_;
-  TelemetryStreamConfig cfg_;
-  const RttPlane* plane_ = nullptr;
+  const MetricRegistry& registry_;
+  std::string path_;
   std::ofstream out_;
-  std::unique_ptr<Exporter> exporter_;
   std::uint64_t ticks_ = 0;
   std::uint64_t windows_streamed_ = 0;
 };

@@ -80,21 +80,9 @@ Scenario& Scenario::rtt_groups(std::uint32_t n) {
   return *this;
 }
 
-Scenario& Scenario::rtt_window_ns(std::uint64_t ns) {
-  if (ns == 0) throw std::invalid_argument("Scenario::rtt_window_ns: zero window");
-  rtt_window_ps_ = ns * 1'000;
-  return *this;
-}
-
-Scenario& Scenario::stream_telemetry(std::string path, std::uint64_t period_ns,
-                                     std::string format) {
+Scenario& Scenario::stream_telemetry(std::string path) {
   if (path.empty()) throw std::invalid_argument("Scenario::stream_telemetry: empty path");
-  if (period_ns == 0) throw std::invalid_argument("Scenario::stream_telemetry: zero period");
-  telemetry::TelemetryStreamConfig cfg;
-  cfg.path = std::move(path);
-  cfg.period_ps = period_ns * 1'000;
-  cfg.format = std::move(format);
-  stream_ = std::move(cfg);
+  stream_path_ = std::move(path);
   return *this;
 }
 
@@ -469,11 +457,10 @@ std::unique_ptr<Testbed> Scenario::build() {
     // simulation shard; every port stamps departures and accounts
     // receptions/drops, links account wire losses on the *source* port's
     // shard (on_frame runs there). Windows close via a runtime window
-    // hook — before any same-instant globals, so sampling ticks and the
-    // stream see freshly closed windows.
+    // hook — before any same-instant globals, so health ticks see freshly
+    // closed windows.
     telemetry::RttPlaneConfig rtt_cfg;
     rtt_cfg.flow_groups = rtt_groups_;
-    rtt_cfg.window_ps = rtt_window_ps_;
     tb->rtt_plane_ = std::make_unique<telemetry::RttPlane>(rtt_cfg, effective);
     telemetry::RttPlane* plane = tb->rtt_plane_.get();
     for (auto& [id, entry] : tb->devices_) {
@@ -489,24 +476,20 @@ std::unique_ptr<Testbed> Scenario::build() {
       tb->vswitches_[vi]->attach_rtt(&plane->shard(shard));
     }
     plane->bind_telemetry(tb->registry_->shard(0));
-    tb->runtime_->add_window_hook(rtt_window_ps_,
-                                  [plane](sim::SimTime t) { plane->close_window(t); });
 
-    // 10c. Streaming exporter: one snapshot (plus freshly closed RTT
-    // windows) per period, written to a file at quiesced instants —
-    // stdout stays byte-identical with streaming on or off.
-    if (stream_.has_value()) {
-      tb->stream_ = std::make_unique<telemetry::TelemetryStream>(*tb->registry_, *stream_);
-      tb->stream_->attach_rtt(plane);
-      telemetry::TelemetryStream* stream = tb->stream_.get();
-      auto* tb_raw = tb.get();
-      tb->runtime_->add_window_hook(stream_->period_ps, [stream, tb_raw](sim::SimTime t) {
-        // Engines batch their counters; flush so the streamed snapshot is
-        // exact at this quiesced instant.
-        tb_raw->publish_engine_telemetry();
-        stream->tick(t);
-      });
-    }
+    // 10c. The telemetry stream rides the same hook: right after a window
+    // closes, publish and append the snapshot plus that window to the file,
+    // at a quiesced instant — stdout stays byte-identical with it on or off.
+    if (!stream_path_.empty())
+      tb->stream_ = std::make_unique<telemetry::TelemetryStream>(*tb->registry_, stream_path_);
+    telemetry::TelemetryStream* stream = tb->stream_.get();
+    Testbed* tb_raw = tb.get();
+    tb->runtime_->add_window_hook(rtt_cfg.window_ps, [plane, stream, tb_raw](sim::SimTime t) {
+      plane->close_window(t);
+      if (stream == nullptr) return;
+      tb_raw->publish_telemetry();
+      stream->tick(t, plane->latest_window());
+    });
   }
 
   // 11. Fast-path devices.

@@ -77,16 +77,13 @@ class Scenario {
   /// Flow groups of the always-on RTT plane (rounded up to a power of two;
   /// default 1). A frame's `flow` label selects its group modulo this.
   Scenario& rtt_groups(std::uint32_t n);
-  /// Window length of the RTT plane's quantile snapshots in nanoseconds of
-  /// virtual time (default 100 ms). Windows close automatically during
-  /// run_until at every multiple of this period.
-  Scenario& rtt_window_ns(std::uint64_t ns);
-  /// Streams one registry snapshot per `period_ns` of virtual time to
-  /// `path` (format: "json", "csv" or "prometheus"), plus every RTT window
-  /// closed in between as a JSON line. stdout is untouched — an
-  /// instrumented run prints byte-identically to an uninstrumented one.
-  Scenario& stream_telemetry(std::string path, std::uint64_t period_ns,
-                             std::string format = "json");
+  /// Streams the run's telemetry to `path` as newline-delimited JSON: at
+  /// every 100 ms RTT window boundary of virtual time, after the window
+  /// closes, Testbed::publish_telemetry() runs and one registry snapshot
+  /// line plus the closed window's line are appended. stdout is untouched
+  /// — an instrumented run prints byte-identically to an uninstrumented
+  /// one. Add the end-of-run snapshot with a final Testbed::stream() tick.
+  Scenario& stream_telemetry(std::string path);
 
   // --- simulated devices ---------------------------------------------------
 
@@ -213,8 +210,7 @@ class Scenario {
   bool telemetry_enabled_ = true;
   telemetry::MetricRegistry* external_registry_ = nullptr;
   std::uint32_t rtt_groups_ = 1;
-  std::uint64_t rtt_window_ps_ = 100'000'000'000ull;  // 100 ms
-  std::optional<telemetry::TelemetryStreamConfig> stream_;
+  std::string stream_path_;  // empty: no stream
 
   std::vector<DeviceDecl> devices_;
   std::vector<LinkDecl> links_;

@@ -86,9 +86,10 @@ std::uint64_t Testbed::cross_shard_frames() const {
   return total;
 }
 
-void Testbed::publish_engine_telemetry() {
+void Testbed::publish_telemetry() {
   for (std::size_t i = 0; i < runtime_->shard_count(); ++i)
     runtime_->shard(i).publish_telemetry();
+  for (const auto& fn : publishers_) fn();
 }
 
 telemetry::RttPlane& Testbed::rtt_plane() {

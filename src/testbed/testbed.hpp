@@ -101,7 +101,7 @@ class Testbed {
   /// Schedules `fn` at absolute virtual time `t` on the global (cross-
   /// shard) timeline: it runs single-threaded while every shard is
   /// quiesced at `t`, so it may touch any shard's components. This is
-  /// where telemetry sampling ticks belong.
+  /// where periodic checks (HealthMonitor ticks) belong.
   void schedule_global(sim::SimTime t, std::function<void()> fn) {
     runtime_->schedule_global(t, std::move(fn));
   }
@@ -112,9 +112,16 @@ class Testbed {
   // --- telemetry -----------------------------------------------------------
 
   [[nodiscard]] telemetry::MetricRegistry& registry() { return *registry_; }
-  /// Flushes every shard engine's batched counters into the registry; call
-  /// before sampling a snapshot (mirrors EventQueue::publish_telemetry).
-  void publish_engine_telemetry();
+  /// Makes the registry exact at a quiesced instant: flushes every shard
+  /// engine's batched counters (EventQueue::publish_telemetry), then runs
+  /// the on_publish callbacks in registration order. The telemetry stream
+  /// and HealthMonitor::dump call it before every snapshot.
+  void publish_telemetry();
+  /// Registers a publisher for components that batch their metrics (RPC
+  /// clients and servers) so that every snapshot sees them current —
+  /// including the stream's tick at the same instant, which a window hook
+  /// added after build() would follow rather than precede.
+  void on_publish(std::function<void()> fn) { publishers_.push_back(std::move(fn)); }
 
   /// The always-on RTT plane (present whenever telemetry is enabled).
   /// Windows close automatically at every rtt window boundary of run_until;
@@ -123,7 +130,7 @@ class Testbed {
   [[nodiscard]] bool has_rtt_plane() const { return rtt_plane_ != nullptr; }
   [[nodiscard]] telemetry::RttPlane& rtt_plane();
 
-  /// The streaming exporter declared with Scenario::stream_telemetry, or
+  /// The telemetry stream declared with Scenario::stream_telemetry, or
   /// null when none was requested.
   [[nodiscard]] telemetry::TelemetryStream* stream() { return stream_.get(); }
 
@@ -182,6 +189,7 @@ class Testbed {
   // reads the registry and plane: both must outlive devices_/links_ below.
   std::unique_ptr<telemetry::RttPlane> rtt_plane_;
   std::unique_ptr<telemetry::TelemetryStream> stream_;
+  std::vector<std::function<void()>> publishers_;
   std::unique_ptr<sim::ParallelRuntime> runtime_;
   std::vector<std::unique_ptr<fault::FaultPlane>> planes_;  // one per shard
   std::deque<wire::FrameChannel> channels_;

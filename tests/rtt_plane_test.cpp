@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -296,13 +297,19 @@ TEST(StreamTelemetry, WritesSnapshotsAndRttWindowsToFile) {
   const std::string path = ::testing::TempDir() + "rtt_stream_test.jsonl";
   {
     auto sc = l2_scenario(2);
-    sc.stream_telemetry(path, 100'000'000);  // one tick per 100 ms window
+    sc.stream_telemetry(path);  // one tick per 100 ms window
     auto tb = sc.build();
+    // A publisher's gauge must land in the snapshot of the same tick.
+    mtb::Testbed& bed = *tb;
+    tb->on_publish([&bed, g = tb->registry().shard(0).gauge("test.published_ns")]() mutable {
+      g.set(static_cast<double>(bed.now() / 1000));
+    });
     auto gen = start_load(*tb, 1.0);
     tb->run_until(300 * ms::kPsPerMs);
     ASSERT_NE(tb->stream(), nullptr);
     EXPECT_EQ(tb->stream()->ticks(), 3u);
     EXPECT_EQ(tb->stream()->windows_streamed(), tb->rtt_plane().windows_closed());
+    EXPECT_TRUE(tb->stream()->ok());
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -310,7 +317,43 @@ TEST(StreamTelemetry, WritesSnapshotsAndRttWindowsToFile) {
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("moongen-rtt-window-v1"), std::string::npos);
   EXPECT_NE(content.find("port.gen_tx"), std::string::npos);
+
+  // Snapshot lines at 100/200/300 ms, each followed by its window line.
+  std::istringstream lines(content);
+  std::vector<std::string> snapshots;
+  std::size_t windows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("moongen-telemetry-v1") != std::string::npos) {
+      snapshots.push_back(line);
+    } else {
+      EXPECT_NE(line.find("moongen-rtt-window-v1"), std::string::npos) << line;
+      ++windows;
+      EXPECT_EQ(windows, snapshots.size()) << "window line must follow its snapshot";
+    }
+  }
+  ASSERT_EQ(snapshots.size(), 3u);
+  EXPECT_EQ(windows, 3u);
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    const std::string ns = std::to_string((i + 1) * 100'000'000);
+    EXPECT_NE(snapshots[i].find("\"timestamp_ns\":" + ns + ","), std::string::npos)
+        << snapshots[i].substr(0, 80);
+    EXPECT_NE(snapshots[i].find("\"test.published_ns\":" + ns), std::string::npos)
+        << "tick " << i << " missed its own publish";
+  }
   std::remove(path.c_str());
+}
+
+TEST(StreamTelemetry, ReportsFailedWrites) {
+  // /dev/full accepts the open and buffered writes; the flush fails.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this host";
+  auto sc = l2_scenario(1);
+  sc.stream_telemetry("/dev/full");
+  auto tb = sc.build();
+  auto gen = start_load(*tb, 1.0);
+  tb->run_until(100 * ms::kPsPerMs);
+  ASSERT_NE(tb->stream(), nullptr);
+  EXPECT_EQ(tb->stream()->ticks(), 1u);
+  EXPECT_FALSE(tb->stream()->ok());
 }
 
 TEST(StreamTelemetry, StreamingDoesNotPerturbTheSimulatedRun) {
@@ -321,7 +364,7 @@ TEST(StreamTelemetry, StreamingDoesNotPerturbTheSimulatedRun) {
   const std::string path = ::testing::TempDir() + "rtt_stream_identity.jsonl";
   for (bool streamed : {false, true}) {
     auto sc = l2_scenario(1);
-    if (streamed) sc.stream_telemetry(path, 100'000'000);
+    if (streamed) sc.stream_telemetry(path);
     auto tb = sc.build();
     auto gen = start_load(*tb, 1.0);
     tb->run_until(300 * ms::kPsPerMs);

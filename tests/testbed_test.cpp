@@ -206,7 +206,7 @@ TEST(Testbed, RunForAdvancesVirtualTime) {
 TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
   auto tb = fig10_scenario(1).build();
   tb->run_for(0.0001);
-  tb->publish_engine_telemetry();
+  tb->publish_telemetry();
   const auto snap = tb->registry().snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.events_executed"));
   EXPECT_FALSE(has_counter(snap, "engine.shard0.events_executed"));
@@ -216,7 +216,7 @@ TEST(Testbed, SequentialTelemetryKeepsLegacyEnginePrefix) {
 TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
   auto tb = fig10_scenario(2).build();
   tb->run_for(0.0001);
-  tb->publish_engine_telemetry();
+  tb->publish_telemetry();
   const auto snap = tb->registry().snapshot();
   EXPECT_TRUE(has_counter(snap, "engine.shard0.events_executed"));
   EXPECT_TRUE(has_counter(snap, "engine.shard1.events_executed"));
@@ -229,7 +229,7 @@ TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
   s.telemetry(external);
   auto tb = s.build();
   EXPECT_EQ(&tb->registry(), &external);
-  tb->publish_engine_telemetry();
+  tb->publish_telemetry();
   EXPECT_GT(external.metric_count(), 0u);
 }
 
