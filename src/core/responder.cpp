@@ -20,9 +20,9 @@ Responder::Responder(nic::Port& port, Config config) : port_(port), cfg_(config)
 }
 
 void Responder::handle(const nic::RxQueueModel::Entry& entry) {
-  const auto& bytes = *entry.frame.data;
-  if (cfg_.answer_arp && try_arp(bytes)) return;
-  if (cfg_.answer_icmp_echo && try_icmp(bytes)) return;
+  const nic::Payload& payload = *entry.frame.data;
+  if (cfg_.answer_arp && try_arp(payload.bytes())) return;
+  if (cfg_.answer_icmp_echo && try_icmp(payload)) return;
   ++ignored_;
 }
 
@@ -55,8 +55,8 @@ bool Responder::try_arp(const std::vector<std::uint8_t>& bytes) {
   return true;
 }
 
-bool Responder::try_icmp(const std::vector<std::uint8_t>& bytes) {
-  const auto pc = proto::classify({bytes.data(), bytes.size()});
+bool Responder::try_icmp(const nic::Payload& bytes) {
+  const auto& pc = bytes.packet_class();
   if (!pc.has_value() || pc->l4_protocol != proto::IpProtocol::kIcmp) return false;
   if (bytes.size() < pc->l4_offset + sizeof(proto::IcmpHeader)) return false;
   const auto* ip = reinterpret_cast<const proto::Ipv4Header*>(bytes.data() + pc->l3_offset);
@@ -65,7 +65,7 @@ bool Responder::try_icmp(const std::vector<std::uint8_t>& bytes) {
   if (icmp->type != proto::IcmpHeader::kEchoRequest) return false;
 
   // Echo reply: copy the packet, swap addresses, flip the type, re-checksum.
-  std::vector<std::uint8_t> reply(bytes);
+  std::vector<std::uint8_t> reply(bytes.bytes());
   auto* reth = reinterpret_cast<proto::EthernetHeader*>(reply.data());
   const auto* eth = reinterpret_cast<const proto::EthernetHeader*>(bytes.data());
   reth->dst = eth->src;

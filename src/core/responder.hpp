@@ -43,7 +43,7 @@ class Responder {
  private:
   void handle(const nic::RxQueueModel::Entry& entry);
   bool try_arp(const std::vector<std::uint8_t>& bytes);
-  bool try_icmp(const std::vector<std::uint8_t>& bytes);
+  bool try_icmp(const nic::Payload& bytes);
 
   nic::Port& port_;
   Config cfg_;

@@ -250,8 +250,8 @@ void VSwitch::ingest(nic::Frame frame) {
 }
 
 std::int32_t VSwitch::match(const nic::Frame& frame) const {
-  const auto& bytes = *frame.data;
-  const auto pc = proto::classify({bytes.data(), bytes.size()});
+  const nic::Payload& bytes = *frame.data;
+  const auto& pc = bytes.packet_class();
   if (!pc.has_value()) return -1;  // malformed: flood, let the sink count it
 
   // Five-tuple rules win over the VID table (a pinned flow overrides its
@@ -398,9 +398,8 @@ void VSwitch::rewrite_frame(QueueState& q, nic::Frame& frame) {
   if (q.cfg.flow != 0) frame.flow = q.cfg.flow;
   if (q.cfg.tag == TenantConfig::Tag::kKeep) return;
 
-  const void* source = frame.data.get();
   for (const RetagCacheEntry& e : q.retag_cache) {
-    if (e.source == source) {
+    if (e.source == frame.data) {
       frame.data = e.rewritten;
       return;
     }
@@ -424,7 +423,7 @@ void VSwitch::rewrite_frame(QueueState& q, nic::Frame& frame) {
     proto::VlanTag tag{};
     tag.set(q.cfg.push_vid, q.cfg.push_pcp);
     if (tagged) {
-      out = bytes;
+      out = bytes.bytes();
       std::memcpy(out.data() + kTagOffset + 2, &tag.tci_be, sizeof(tag.tci_be));
     } else {
       out.reserve(bytes.size() + sizeof(proto::VlanTag));
@@ -439,13 +438,13 @@ void VSwitch::rewrite_frame(QueueState& q, nic::Frame& frame) {
     }
   }
 
-  auto rewritten = std::make_shared<const std::vector<std::uint8_t>>(std::move(out));
+  std::shared_ptr<const nic::Payload> rewritten = nic::make_payload(std::move(out));
   if (q.retag_cache.size() < kRetagCacheCapacity) {
-    q.retag_cache.push_back(RetagCacheEntry{source, rewritten});
+    q.retag_cache.push_back(RetagCacheEntry{frame.data, rewritten});
   } else {
     // Round-robin eviction: generators cycle a bounded template set, so a
     // hot source re-enters the cache within one cycle.
-    q.retag_cache[q.retag_evict] = RetagCacheEntry{source, rewritten};
+    q.retag_cache[q.retag_evict] = RetagCacheEntry{frame.data, rewritten};
     q.retag_evict = (q.retag_evict + 1) % kRetagCacheCapacity;
   }
   frame.data = std::move(rewritten);

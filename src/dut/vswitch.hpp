@@ -221,8 +221,10 @@ class VSwitch {
   };
 
   struct RetagCacheEntry {
-    const void* source = nullptr;
-    std::shared_ptr<const std::vector<std::uint8_t>> rewritten;
+    /// Held, not just compared: a freed source's address can come back as
+    /// another payload, which must not hit this entry.
+    std::shared_ptr<const nic::Payload> source;
+    std::shared_ptr<const nic::Payload> rewritten;
   };
 
   /// One egress queue: a tenant's, or the flood queue (tenant index -1).

@@ -5,8 +5,9 @@
 namespace moongen::nic {
 
 FlowDirector::Verdict FlowDirector::match(const Frame& frame) const {
-  const auto& bytes = *frame.data;
-  const auto pc = proto::classify({bytes.data(), bytes.size()});
+  if (rules_.empty()) return {};
+  const Payload& bytes = *frame.data;
+  const auto& pc = bytes.packet_class();
   if (!pc.has_value() || pc->ether_type != proto::EtherType::kIPv4) return {};
 
   const auto* ip = reinterpret_cast<const proto::Ipv4Header*>(bytes.data() + pc->l3_offset);

@@ -337,8 +337,8 @@ void Port::apply_rate_limit(TxQueueModel& q, const Frame& frame, sim::SimTime tx
 
 bool Port::frame_matches_ptp_filter(const Frame& frame) const {
   if (!ptp_filter_.enabled) return false;
-  const auto& bytes = *frame.data;
-  const auto pc = proto::classify({bytes.data(), bytes.size()});
+  const Payload& bytes = *frame.data;
+  const auto& pc = bytes.packet_class();
   if (!pc.has_value()) return false;
 
   std::size_t ptp_offset = 0;

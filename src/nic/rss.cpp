@@ -39,8 +39,8 @@ RssUnit::RssUnit(int num_queues, RssHashType type, std::span<const std::uint8_t>
 }
 
 std::uint32_t RssUnit::hash(const Frame& frame) const {
-  const auto& bytes = *frame.data;
-  const auto pc = proto::classify({bytes.data(), bytes.size()});
+  const Payload& bytes = *frame.data;
+  const auto& pc = bytes.packet_class();
   if (!pc.has_value() || pc->ether_type != proto::EtherType::kIPv4) return 0;
   if (bytes.size() < pc->l4_offset) return 0;
 

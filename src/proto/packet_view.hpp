@@ -197,6 +197,8 @@ struct PacketClass {
   bool is_ptp_ethernet = false;              // EtherType 0x88F7
   bool is_udp = false;
   std::uint16_t udp_dst_port = 0;
+
+  bool operator==(const PacketClass&) const = default;
 };
 
 /// Parses the outer headers of `frame` (without FCS). Returns nullopt for

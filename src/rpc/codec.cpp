@@ -44,14 +44,14 @@ void write_rpc_fields(std::span<std::uint8_t> frame_bytes, Op op, std::uint64_t 
   h.set_value_len(value_len);
 }
 
-std::optional<Decoded> decode(std::span<const std::uint8_t> frame_bytes) {
-  const auto pc = proto::classify(frame_bytes);
+std::optional<Decoded> decode(const nic::Payload& payload) {
+  const auto& pc = payload.packet_class();
   if (!pc.has_value() || !pc->is_udp || pc->l7_offset == 0) return std::nullopt;
-  if (frame_bytes.size() < pc->l7_offset + sizeof(RpcHeader)) return std::nullopt;
+  if (payload.size() < pc->l7_offset + sizeof(RpcHeader)) return std::nullopt;
   // classify() already bounds-checked the stack; the RPC header sits at the
   // L7 offset (VLAN tags and IP options shift it, unlike kHeaderStack).
   RpcHeader h;
-  std::memcpy(&h, frame_bytes.data() + pc->l7_offset, sizeof(h));
+  std::memcpy(&h, payload.data() + pc->l7_offset, sizeof(h));
   if (!h.valid()) return std::nullopt;
   if (h.opcode > static_cast<std::uint8_t>(Op::kSetAck)) return std::nullopt;
   Decoded out;
@@ -65,9 +65,15 @@ std::optional<Decoded> decode(std::span<const std::uint8_t> frame_bytes) {
 
 FramePool::FramePool(const nic::Frame& tmpl, std::size_t count) {
   if (count == 0) throw std::invalid_argument("FramePool: empty pool");
+  // The buffers are rewritten in place without reclassifying, which is
+  // only sound while write_rpc_fields() (fixed untagged IPv4/UDP offset)
+  // lands exactly on the template's L7 payload.
+  const auto& pc = tmpl.data->packet_class();
+  if (!pc.has_value() || !pc->is_udp || pc->l7_offset != proto::UdpPacketView::kHeaderStack ||
+      tmpl.data->size() < RpcPacketView::kHeaderStack)
+    throw std::invalid_argument("FramePool: template is not an untagged RPC frame");
   buffers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    buffers_.push_back(std::make_shared<std::vector<std::uint8_t>>(*tmpl.data));
+  for (std::size_t i = 0; i < count; ++i) buffers_.push_back(nic::make_payload(tmpl.data->bytes()));
 }
 
 std::pair<std::span<std::uint8_t>, nic::Frame> FramePool::acquire() {
@@ -75,9 +81,9 @@ std::pair<std::span<std::uint8_t>, nic::Frame> FramePool::acquire() {
   next_ = next_ + 1 == buffers_.size() ? 0 : next_ + 1;
   // The Frame aliases the buffer through a const pointer; the pool keeps
   // the mutable handle, so the next acquisition of this slot can rewrite
-  // the per-request fields in place without reallocating.
-  return {std::span<std::uint8_t>{buf->data(), buf->size()},
-          nic::Frame{.data = std::shared_ptr<const std::vector<std::uint8_t>>(buf)}};
+  // the per-request fields in place without reallocating. Those fields are
+  // L7 only, so the payload's cached classification stays valid.
+  return {buf->mutable_bytes(), nic::Frame{.data = buf}};
 }
 
 }  // namespace moongen::rpc

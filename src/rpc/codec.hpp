@@ -118,11 +118,11 @@ struct Decoded {
 void write_rpc_fields(std::span<std::uint8_t> frame_bytes, Op op, std::uint64_t seq,
                       std::uint64_t key, sim::SimTime tx_time_ps, std::uint16_t value_len = 0);
 
-/// Parses `frame_bytes` as Ethernet/IPv4/UDP/RPC. Returns nullopt for
-/// anything that is not a well-formed RPC packet (wrong protocol stack,
-/// truncated payload, bad magic) — receivers must tolerate foreign or
-/// corrupted traffic on the wire.
-std::optional<Decoded> decode(std::span<const std::uint8_t> frame_bytes);
+/// Reads `payload` as Ethernet/IPv4/UDP/RPC, using its cached header
+/// classification. Returns nullopt for anything that is not a well-formed
+/// RPC packet (wrong protocol stack, truncated payload, bad magic) —
+/// receivers must tolerate foreign or corrupted traffic on the wire.
+std::optional<Decoded> decode(const nic::Payload& payload);
 
 /// Round-robin pool of preallocated mutable frame buffers sharing one
 /// template. acquire() hands out the next buffer and a Frame aliasing it;
@@ -130,7 +130,8 @@ std::optional<Decoded> decode(std::span<const std::uint8_t> frame_bytes);
 /// buffer is reused after `count` further acquisitions, so `count` must
 /// exceed the maximum number of frames the NIC can hold in flight
 /// (descriptor ring + FIFO + wire) — then the steady state allocates
-/// nothing per request.
+/// nothing per request. Throws std::invalid_argument for an empty pool or
+/// a template whose RPC header is not at the untagged IPv4/UDP offset.
 class FramePool {
  public:
   FramePool(const nic::Frame& tmpl, std::size_t count);
@@ -141,7 +142,7 @@ class FramePool {
   [[nodiscard]] std::size_t size() const { return buffers_.size(); }
 
  private:
-  std::vector<std::shared_ptr<std::vector<std::uint8_t>>> buffers_;
+  std::vector<std::shared_ptr<nic::Payload>> buffers_;
   std::size_t next_ = 0;
 };
 

@@ -103,8 +103,7 @@ void ClientBase::drain_pending() {
 }
 
 void ClientBase::on_rx(const nic::RxQueueModel::Entry& entry) {
-  const auto& bytes = *entry.frame.data;
-  const auto decoded = decode({bytes.data(), bytes.size()});
+  const auto decoded = decode(*entry.frame.data);
   if (!decoded.has_value() || !is_response(decoded->op)) {
     ++garbage_;
     return;

@@ -591,6 +591,41 @@ double eval_expr(const EntryExpr& e, const Value* regs,
 
 }  // namespace
 
+std::optional<core::FieldAction> bind_action(const ActionRecipe& recipe, double base,
+                                             double modulus, std::size_t first,
+                                             std::size_t count) {
+  core::FieldAction action;
+  action.field = recipe.field;
+  action.kind = recipe.kind;
+  switch (recipe.kind) {
+    case core::FieldAction::Kind::kConstant:
+      // Out-of-range doubles would hit the generic path's cast behaviour;
+      // don't try to replicate it, just stay generic.
+      if (!(base >= 0.0) || base > kMaxFieldValue) return std::nullopt;
+      action.value = static_cast<std::uint32_t>(base);
+      return action;
+    case core::FieldAction::Kind::kRandom:
+      if (!(modulus >= 1.0) || modulus > kMaxFieldValue) return std::nullopt;
+      if (!(base >= 0.0) || base + (modulus - 1.0) > kMaxFieldValue) return std::nullopt;
+      action.value = static_cast<std::uint32_t>(base);
+      action.range = static_cast<std::uint32_t>(modulus);
+      return action;
+    case core::FieldAction::Kind::kCounter: {
+      const double start = base + static_cast<double>(first);
+      if (!(start >= 0.0) || start + static_cast<double>(count - 1) > kMaxFieldValue)
+        return std::nullopt;
+      action.value = static_cast<std::uint32_t>(start);
+      action.range = 0;  // monotone within the kernel, like the generic add
+      return action;
+    }
+    case core::FieldAction::Kind::kFlowLabel:
+      // A metadata action: no recorded trace produces one, and the kernel
+      // has no value to give it. Stay generic rather than push it unbound.
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
 void run_field_kernel(const Specialization& spec, const Instr& anchor, Value* regs,
                       ICEntry* ics, const std::vector<std::shared_ptr<Cell>>& upvals,
                       Interpreter& host) {
@@ -655,34 +690,10 @@ void run_field_kernel(const Specialization& spec, const Instr& anchor, Value* re
     if (avail < count) count = static_cast<std::size_t>(avail);
   }
   for (const ActionRecipe& recipe : k.actions) {
-    const double base = eval_expr(recipe.base, regs, upvals);
-    core::FieldAction action;
-    action.field = recipe.field;
-    action.kind = recipe.kind;
-    switch (recipe.kind) {
-      case core::FieldAction::Kind::kConstant:
-        // Out-of-range doubles would hit the generic path's cast behaviour;
-        // don't try to replicate it, just stay generic.
-        if (!(base >= 0.0) || base > kMaxFieldValue) return;
-        action.value = static_cast<std::uint32_t>(base);
-        break;
-      case core::FieldAction::Kind::kRandom: {
-        const double m = eval_expr(recipe.modulus, regs, upvals);
-        if (!(m >= 1.0) || m > kMaxFieldValue) return;
-        if (!(base >= 0.0) || base + (m - 1.0) > kMaxFieldValue) return;
-        action.value = static_cast<std::uint32_t>(base);
-        action.range = static_cast<std::uint32_t>(m);
-        break;
-      }
-      case core::FieldAction::Kind::kCounter: {
-        const double start = base + static_cast<double>(next);
-        if (!(start >= 0.0) || start + static_cast<double>(count - 1) > kMaxFieldValue) return;
-        action.value = static_cast<std::uint32_t>(start);
-        action.range = 0;  // monotone within the kernel, like the generic add
-        break;
-      }
-    }
-    actions.push_back(action);
+    const auto action = bind_action(recipe, eval_expr(recipe.base, regs, upvals),
+                                    eval_expr(recipe.modulus, regs, upvals), next, count);
+    if (!action.has_value()) return;
+    actions.push_back(*action);
   }
   core::ModifierProgram program(std::move(actions));
 

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/field_modifier.hpp"
@@ -146,6 +147,16 @@ struct Specialization {
 /// generic VM keeps running it).
 std::shared_ptr<const Specialization> build_specialization(RecordedTrace trace,
                                                            Interpreter& host);
+
+/// Binds one recipe to the values its entry expressions have at kernel
+/// entry: `base` and `modulus` evaluated there, `first` the 1-based index
+/// of the first packet the kernel processes and `count` how many it may
+/// process. Returns nullopt when the kernel must stay generic: a value
+/// outside uint32 (whose cast behaviour the generic path owns) or a kind
+/// no recipe expresses (kFlowLabel).
+std::optional<core::FieldAction> bind_action(const ActionRecipe& recipe, double base,
+                                             double modulus, std::size_t first,
+                                             std::size_t count);
 
 /// Executes a field kernel at its kForInCall anchor. Processes whatever
 /// prefix of the remaining elements the guards and budget allow (possibly

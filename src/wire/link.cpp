@@ -116,14 +116,15 @@ void Link::drain_remote_epoch() {
   }
 }
 
-void Link::corrupt_frame(nic::Frame& frame) {
+void corrupt_frame(nic::Frame& frame, std::mt19937_64& rng) {
   // Copy-on-corrupt: payloads are shared (template frames, interned gap
   // frames), so the wire damages a private copy. Flip one byte to a
-  // guaranteed-different value; the FCS no longer matches.
-  auto bytes = std::make_shared<std::vector<std::uint8_t>>(*frame.data);
-  const std::size_t pos = corrupt_rng_() % bytes->size();
-  (*bytes)[pos] ^= static_cast<std::uint8_t>(1 + corrupt_rng_() % 255);
-  frame.data = std::move(bytes);
+  // guaranteed-different value; the FCS no longer matches. The copy is
+  // classified after the flip, since the byte may sit in a header.
+  std::vector<std::uint8_t> bytes = frame.data->bytes();
+  const std::size_t pos = rng() % bytes.size();
+  bytes[pos] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+  frame.data = nic::make_payload(std::move(bytes));
   frame.fcs_valid = false;
 }
 
@@ -160,7 +161,7 @@ void Link::on_frame(const nic::Frame& frame, sim::SimTime tx_start_ps) {
 
   nic::Frame out = frame;
   if (fp_corrupt_.installed() && fp_corrupt_.fire(tx_start_ps) != nullptr) {
-    corrupt_frame(out);
+    corrupt_frame(out, corrupt_rng_);
     ++corrupted_;
   }
   if (fp_reorder_.installed()) {

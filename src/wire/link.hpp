@@ -24,6 +24,11 @@ struct RemoteHop {
 /// SPSC frame channel between a link's shard and its destination's shard.
 using FrameChannel = sim::SpscChannel<RemoteHop>;
 
+/// Wire corruption: replaces `frame`'s payload with a copy that has one
+/// byte flipped (position and flip drawn from `rng`), reclassified after
+/// the flip, and clears fcs_valid. The shared original is untouched.
+void corrupt_frame(nic::Frame& frame, std::mt19937_64& rng);
+
 class Link : public nic::FrameSink {
  public:
   /// Connects `from`'s transmit path to `to`'s receive path over `cable`.
@@ -113,7 +118,6 @@ class Link : public nic::FrameSink {
  private:
   [[nodiscard]] std::int64_t phy_jitter_ps();
   void begin_flap(sim::SimTime now_ps, double down_ps_param);
-  void corrupt_frame(nic::Frame& frame);
   /// Local mode: into the destination port; remote mode: into the channel.
   void deliver(const nic::Frame& frame, sim::SimTime arrival_ps);
 

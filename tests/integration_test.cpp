@@ -136,7 +136,7 @@ TEST(Integration, SequenceTrackedCaptureThroughDut) {
     q.set_rate_mpps(1.0, 100);
     q.set_refill([stamper] {
       auto frame = udp96();
-      auto bytes = *frame.data;  // copy, then stamp
+      auto bytes = frame.data->bytes();  // copy, then stamp
       stamper->stamp(bytes.data());
       return mn::make_frame(std::move(bytes));
     });
@@ -180,7 +180,7 @@ TEST(Integration, SequenceTrackerSeesOverloadLoss) {
   q.set_rate_mpps(4.0, 100);  // far beyond the ~1.94 Mpps DuT capacity
   q.set_refill([stamper] {
     auto frame = udp96();
-    auto bytes = *frame.data;
+    auto bytes = frame.data->bytes();
     stamper->stamp(bytes.data());
     return mn::make_frame(std::move(bytes));
   });

@@ -257,7 +257,7 @@ TEST(NicPtp, WrongVersionIgnored) {
   port.set_tx_sink(&sink);
   auto frame = mc::make_ptp_ethernet_frame(60);
   // Corrupt the version nibble.
-  auto bytes = *frame.data;
+  auto bytes = frame.data->bytes();
   bytes[15] = 0x01;
   port.tx_queue(0).post(mn::make_frame(std::move(bytes)));
   events.run();

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/rate_control.hpp"
 #include "fault/fault.hpp"
 #include "nic/chip.hpp"
 #include "rpc/codec.hpp"
@@ -24,8 +25,10 @@
 #include "stats/samplers.hpp"
 #include "testbed/scenario.hpp"
 
+namespace mc = moongen::core;
 namespace mf = moongen::fault;
 namespace mn = moongen::nic;
+namespace mp = moongen::proto;
 namespace mr = moongen::rpc;
 namespace ms = moongen::sim;
 namespace mtb = moongen::testbed;
@@ -38,10 +41,10 @@ TEST(RpcCodec, FieldsRoundTripThroughTemplate) {
   mr::RpcTemplateOptions opts;
   opts.frame_size = 96;
   const auto frame = mr::make_rpc_frame(opts);
-  std::vector<std::uint8_t> bytes = *frame.data;
+  std::vector<std::uint8_t> bytes = frame.data->bytes();
   mr::write_rpc_fields({bytes.data(), bytes.size()}, mr::Op::kSet, 0xDEADBEEFull, 1234,
                        5'000'000, 7);
-  const auto d = mr::decode({bytes.data(), bytes.size()});
+  const auto d = mr::decode(*mn::make_payload(bytes));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->op, mr::Op::kSet);
   EXPECT_EQ(d->seq, 0xDEADBEEFull);
@@ -54,9 +57,9 @@ TEST(RpcCodec, ResponseOpcodesDecodeAndClassify) {
   mr::RpcTemplateOptions opts;
   opts.opcode = mr::Op::kGetHit;
   const auto frame = mr::make_rpc_frame(opts);
-  std::vector<std::uint8_t> bytes = *frame.data;
+  std::vector<std::uint8_t> bytes = frame.data->bytes();
   mr::write_rpc_fields({bytes.data(), bytes.size()}, mr::Op::kGetHit, 9, 10, 11);
-  const auto d = mr::decode({bytes.data(), bytes.size()});
+  const auto d = mr::decode(*mn::make_payload(bytes));
   ASSERT_TRUE(d.has_value());
   EXPECT_TRUE(mr::is_response(d->op));
   EXPECT_FALSE(mr::is_response(mr::Op::kGet));
@@ -66,24 +69,24 @@ TEST(RpcCodec, ResponseOpcodesDecodeAndClassify) {
 TEST(RpcCodec, DecodeRejectsGarbage) {
   // Not a UDP stack at all.
   std::vector<std::uint8_t> zeros(100, 0);
-  EXPECT_FALSE(mr::decode({zeros.data(), zeros.size()}).has_value());
+  EXPECT_FALSE(mr::decode(*mn::make_payload(zeros)).has_value());
 
   const auto frame = mr::make_rpc_frame({});
-  std::vector<std::uint8_t> good = *frame.data;
+  std::vector<std::uint8_t> good = frame.data->bytes();
   mr::write_rpc_fields({good.data(), good.size()}, mr::Op::kGet, 1, 2, 3);
 
   // Truncated payload: the RPC header does not fit.
-  EXPECT_FALSE(mr::decode({good.data(), 60}).has_value());
+  EXPECT_FALSE(mr::decode(*mn::make_payload({good.begin(), good.begin() + 60})).has_value());
 
   // Corrupted magic.
   std::vector<std::uint8_t> bad_magic = good;
   bad_magic[42] ^= 0xFF;
-  EXPECT_FALSE(mr::decode({bad_magic.data(), bad_magic.size()}).has_value());
+  EXPECT_FALSE(mr::decode(*mn::make_payload(bad_magic)).has_value());
 
   // Opcode outside the protocol.
   std::vector<std::uint8_t> bad_op = good;
   bad_op[46] = 9;
-  EXPECT_FALSE(mr::decode({bad_op.data(), bad_op.size()}).has_value());
+  EXPECT_FALSE(mr::decode(*mn::make_payload(bad_op)).has_value());
 }
 
 TEST(RpcCodec, TemplateRejectsUndersizedFrame) {
@@ -102,6 +105,37 @@ TEST(RpcCodec, FramePoolRoundRobinReusesBuffers) {
   auto [s4, f4] = pool.acquire();
   EXPECT_EQ(s4.data(), first);  // wrapped around
   EXPECT_EQ(f4.data->size(), tmpl.data->size());
+}
+
+TEST(RpcCodec, FramePoolRewritesKeepTheCachedClassification) {
+  // acquire() + write_rpc_fields() rewrite a pooled payload in place
+  // without reclassifying it: the cached class must still equal the
+  // oracle's reading of the rewritten bytes, and decode sees the fields.
+  const auto tmpl = mr::make_rpc_frame({});
+  mr::FramePool pool(tmpl, 3);
+  for (std::uint64_t i = 1; i <= 9; ++i) {
+    auto [bytes, frame] = pool.acquire();
+    mr::write_rpc_fields(bytes, i % 2 == 0 ? mr::Op::kSet : mr::Op::kGetHit, ~i, i * 7,
+                         i * 1'000'000, static_cast<std::uint16_t>(i));
+    EXPECT_EQ(frame.data->packet_class(), mp::classify(frame.data->bytes()));
+    EXPECT_EQ(frame.data->packet_class(), tmpl.data->packet_class());
+    const auto d = mr::decode(*frame.data);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->seq, ~i);
+    EXPECT_EQ(d->key, i * 7);
+  }
+}
+
+TEST(RpcCodec, FramePoolRejectsTemplatesItCannotRewriteInPlace) {
+  // write_rpc_fields() writes at the untagged offset: on a tagged template
+  // it would land in the UDP header and stale the cached class.
+  mc::UdpTemplateOptions tagged;
+  tagged.frame_size = 128;
+  tagged.udp_dst = mr::kRpcUdpPort;
+  tagged.vlan = true;
+  EXPECT_THROW(mr::FramePool(mc::make_udp_frame(tagged), 4), std::invalid_argument);
+  EXPECT_THROW(mr::FramePool(mc::make_ptp_ethernet_frame(96), 4), std::invalid_argument);
+  EXPECT_THROW(mr::FramePool(mr::make_rpc_frame({}), 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -177,6 +177,23 @@ TEST(FlowDirector, DropAction) {
   EXPECT_TRUE(v.drop);
 }
 
+TEST(FlowDirector, EmptyTableNeverMatches) {
+  mn::FlowDirector fd;
+  const auto frame = udp_flow_frame(mp::IPv4Address{10, 0, 0, 1}, mp::IPv4Address{10, 0, 0, 2},
+                                    1, 2);
+  EXPECT_FALSE(fd.match(frame).matched);
+  EXPECT_EQ(fd.matches(), 0u);
+  fd.add_rule({.protocol = mp::IpProtocol::kUdp, .queue = 1});
+  EXPECT_TRUE(fd.match(frame).matched);
+  EXPECT_EQ(fd.matches(), 1u);
+  fd.clear();
+  const auto v = fd.match(frame);
+  EXPECT_FALSE(v.matched);
+  EXPECT_FALSE(v.drop);
+  EXPECT_EQ(v.queue, 0);
+  EXPECT_EQ(fd.matches(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Steering integration on a simulated port
 // ---------------------------------------------------------------------------
@@ -199,7 +216,9 @@ TEST(PortSteering, FlowDirectorThenRss) {
   // Queue 3 holds the Flow-Director-pinned frame (plus the RSS one if the
   // hash happens to land there too).
   EXPECT_EQ(bed.b.rx_queue(3).pending(), rss_queue == 3 ? 2u : 1u);
-  if (rss_queue != 3) EXPECT_EQ(bed.b.rx_queue(rss_queue).pending(), 1u);
+  if (rss_queue != 3) {
+    EXPECT_EQ(bed.b.rx_queue(rss_queue).pending(), 1u);
+  }
 }
 
 TEST(PortSteering, FlowDirectorHardwareDrop) {

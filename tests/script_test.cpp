@@ -1041,6 +1041,31 @@ TEST(ScriptTrace, NumericLoopSpecializesAndTraceIsListable) {
   EXPECT_NE(listing.find("FORNEXT"), std::string::npos) << listing;
 }
 
+TEST(ScriptTrace, FlowLabelRecipeStaysGeneric) {
+  // kFlowLabel is a metadata action no trace records; a kernel handed one
+  // must bail out to the generic path, not push it without a value.
+  sc::ActionRecipe recipe;
+  recipe.field = {.offset = 26, .width = 4};
+  recipe.kind = mc::FieldAction::Kind::kFlowLabel;
+  EXPECT_FALSE(sc::bind_action(recipe, 5.0, 0.0, 1, 16).has_value());
+
+  // The kinds a trace does record bind as before.
+  recipe.kind = mc::FieldAction::Kind::kConstant;
+  const auto constant = sc::bind_action(recipe, 5.0, 0.0, 1, 16);
+  ASSERT_TRUE(constant.has_value());
+  EXPECT_EQ(constant->value, 5u);
+  EXPECT_EQ(constant->field.offset, 26u);
+  recipe.kind = mc::FieldAction::Kind::kCounter;
+  const auto counter = sc::bind_action(recipe, 5.0, 0.0, 3, 16);
+  ASSERT_TRUE(counter.has_value());
+  EXPECT_EQ(counter->value, 8u);
+  recipe.kind = mc::FieldAction::Kind::kRandom;
+  const auto random = sc::bind_action(recipe, 5.0, 200.0, 1, 16);
+  ASSERT_TRUE(random.has_value());
+  EXPECT_EQ(random->range, 200u);
+  EXPECT_FALSE(sc::bind_action(recipe, 5.0, 0.0, 1, 16).has_value());  // modulus < 1
+}
+
 TEST(ScriptTrace, NoTraceWhenDisabled) {
   sc::Interpreter interp(sc::parse("acc = 0 for i = 1, 500 do acc = acc + i end"));
   interp.set_trace(false);

@@ -440,6 +440,89 @@ TEST(VSwitch, PopRemovesTagAndPushRetagsInPlace) {
   bed.check_conservation();
 }
 
+TEST(VSwitch, RewrittenFramesCarryTheirOwnClassification) {
+  // Pop, in-place retag and tag insertion each build a new payload; the
+  // class it caches must describe the rewritten bytes, not the source's.
+  md::TenantConfig popper = tenant(10, 0);
+  popper.tag = md::TenantConfig::Tag::kPop;
+  md::TenantConfig retagger = tenant(20, 1);
+  retagger.tag = md::TenantConfig::Tag::kPush;
+  retagger.push_vid = 77;
+  retagger.push_pcp = 3;
+  md::TenantConfig inserter = tenant(0, 1);  // five-tuple only: untagged traffic
+  inserter.tag = md::TenantConfig::Tag::kPush;
+  inserter.push_vid = 99;
+  md::VSwitchConfig cfg;
+  cfg.tenants = {popper, retagger, inserter};
+  VsBed bed(cfg);
+  md::FiveTupleKey key;  // make_udp_frame defaults, UDP 1234 -> 42
+  key.src_ip = 0x0A000001;
+  key.dst_ip = 0x0A010001;
+  key.src_port = 1234;
+  key.dst_port = 42;
+  key.protocol = 17;
+  bed.vsw.add_flow(key, 2);
+  auto& q = bed.gen_tx.tx_queue(0);
+  for (int i = 0; i < 5; ++i) {
+    q.post(tagged_frame(10, 0, 128, 7));
+    q.post(tagged_frame(20, 0, 128, 7));
+    q.post(mc::make_udp_frame({.frame_size = 124}));
+  }
+  bed.events.run();
+
+  const auto popped = bed.sink0.rx_queue(0).drain();
+  ASSERT_EQ(popped.size(), 5u);
+  for (const auto& e : popped) {
+    const auto& cls = e.frame.data->packet_class();
+    EXPECT_EQ(cls, mp::classify(e.frame.data->bytes()));
+    ASSERT_TRUE(cls.has_value());
+    EXPECT_FALSE(cls->has_vlan);
+    EXPECT_EQ(cls->l3_offset, sizeof(mp::EthernetHeader));
+  }
+  const auto pushed = bed.sink1.rx_queue(0).drain();
+  ASSERT_EQ(pushed.size(), 10u);
+  std::size_t retagged = 0, inserted = 0;
+  for (const auto& e : pushed) {
+    const auto& cls = e.frame.data->packet_class();
+    EXPECT_EQ(cls, mp::classify(e.frame.data->bytes()));
+    ASSERT_TRUE(cls.has_value());
+    ASSERT_EQ(cls->vlan_tags, 1u);
+    retagged += cls->outer_vid == 77 && cls->outer_pcp == 3;
+    inserted += cls->outer_vid == 99 && cls->is_udp && cls->udp_dst_port == 42;
+  }
+  EXPECT_EQ(retagged, 5u);
+  EXPECT_EQ(inserted, 5u);
+  bed.check_conservation();
+}
+
+TEST(VSwitch, RetagCacheNeverServesAFreedSourcesRewrite) {
+  // Payloads built per frame (a sequence-stamping refill, say) are freed
+  // once switched, and the allocator hands their address to the next one.
+  // The retag cache must not take the new payload for the freed one and
+  // serve the old frame's rewritten bytes.
+  md::TenantConfig pusher = tenant(10, 0);
+  pusher.tag = md::TenantConfig::Tag::kPush;
+  pusher.push_vid = 77;
+  md::VSwitchConfig cfg;
+  cfg.tenants = {pusher};
+  VsBed bed(cfg);
+  std::vector<std::uint8_t> markers;
+  bed.sink0.rx_queue(0).set_store(false);
+  bed.sink0.rx_queue(0).set_callback(
+      [&](const mn::RxQueueModel::Entry& e) { markers.push_back(e.frame.data->bytes().back()); });
+  const std::vector<std::uint8_t> tmpl = tagged_frame(10).data->bytes();
+  std::vector<std::uint8_t> expected;
+  for (std::uint8_t i = 0; i < 40; ++i) {
+    auto bytes = tmpl;
+    bytes.back() = i;
+    bed.gen_tx.tx_queue(0).post(mn::make_frame(std::move(bytes)));
+    bed.events.run();  // switched and delivered: the source payload is gone
+    expected.push_back(i);
+  }
+  EXPECT_EQ(markers, expected);
+  bed.check_conservation();
+}
+
 TEST(VSwitch, FlowLabelStampedOnForwardedFrames) {
   md::TenantConfig t = tenant(10, 0);
   t.flow = 42;
