@@ -18,11 +18,11 @@ namespace moongen::nic {
 
 /// One perfect-match rule. Unset (nullopt) fields match anything.
 struct FlowRule {
-  std::optional<proto::IPv4Address> src_ip;
-  std::optional<proto::IPv4Address> dst_ip;
-  std::optional<proto::IpProtocol> protocol;
-  std::optional<std::uint16_t> src_port;
-  std::optional<std::uint16_t> dst_port;
+  std::optional<proto::IPv4Address> src_ip{};
+  std::optional<proto::IPv4Address> dst_ip{};
+  std::optional<proto::IpProtocol> protocol{};
+  std::optional<std::uint16_t> src_port{};
+  std::optional<std::uint16_t> dst_port{};
 
   /// Action: deliver to this queue, or drop when `drop` is set.
   int queue = 0;

@@ -12,11 +12,11 @@
 // parser writes the packet type into the RX descriptor (DPDK's
 // mbuf->packet_type) and the timestamp unit filters PTP in hardware. Every
 // hop — TX and RX PTP filters, Flow Director, RSS, the vswitch, the RPC
-// codec, the responder — reads Payload::packet_class() instead of
-// re-parsing. This holds because a payload's L2–L4 bytes never change after
-// construction: a hop that alters headers (the wire's corruption, a vswitch
-// retag) builds a new payload. The one in-place writer is rpc::FramePool,
-// which rewrites only the L7 RPC header (DESIGN.md §8).
+// codec — reads Payload::packet_class() instead of re-parsing. This holds
+// because a payload's L2–L4 bytes never change after construction: a hop
+// that alters headers (the wire's corruption, a vswitch retag) builds a new
+// payload. The one in-place writer is rpc::FramePool, which rewrites only
+// the L7 RPC header (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>

@@ -40,11 +40,11 @@ struct PacketRef {
   // PacketRef, so `buf:getUdpPacket()`, `.ip`, `.udp`, `.src` and `.dst`
   // can hand out the same wrapper on every access (like LuaJIT cdata views
   // in the original) instead of allocating a fresh one per packet.
-  Value udp_packet;
-  Value ip_hdr;
-  Value udp_hdr;
-  Value src_addr;
-  Value dst_addr;
+  Value udp_packet{};
+  Value ip_hdr{};
+  Value udp_hdr{};
+  Value src_addr{};
+  Value dst_addr{};
 };
 
 struct AddrRef {
@@ -91,6 +91,7 @@ MethodTable& counter_methods();
 // recycles the fixed-size allocate_shared nodes instead. Blocks may migrate
 // between threads' freelists (allocated on one, released on another); they
 // are interchangeable, and spill/refill always goes through ::operator new.
+// A thread's cached blocks go back to ::operator delete when it exits.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -100,9 +101,15 @@ struct PoolAlloc {
   template <typename U>
   PoolAlloc(const PoolAlloc<U>&) {}  // NOLINT(google-explicit-constructor)
 
+  struct FreeList {
+    std::vector<void*> blocks;
+    ~FreeList() {
+      for (void* p : blocks) ::operator delete(p);
+    }
+  };
   static std::vector<void*>& freelist() {
-    static thread_local std::vector<void*> list;
-    return list;
+    static thread_local FreeList list;
+    return list.blocks;
   }
   T* allocate(std::size_t n) {
     auto& list = freelist();

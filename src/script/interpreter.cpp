@@ -84,7 +84,10 @@ Interpreter::Interpreter(std::shared_ptr<const Program> program)
   install_base_library();
 }
 
-Interpreter::~Interpreter() = default;
+// Script functions capture the globals scope and the globals hold those
+// functions: a reference cycle. Breaking it here releases the program's
+// state (tables, userdata such as mempools) with the interpreter.
+Interpreter::~Interpreter() { globals_->clear(); }
 
 bool Interpreter::default_tree_walk() {
   const char* env = std::getenv("MOONGEN_SCRIPT_TREEWALK");

@@ -25,6 +25,11 @@ class Environment : public std::enable_shared_from_this<Environment> {
   /// Declares a local in this scope (shadows outer scopes).
   void declare(const std::string& name, Value value) { values_[name] = std::move(value); }
 
+  /// Drops every entry of this scope. The values are released after the
+  /// scope is already empty, so their destructors never see a half-cleared
+  /// map.
+  void clear() { std::map<std::string, Value>().swap(values_); }
+
   /// Looks `name` up through the scope chain; nil if absent everywhere.
   [[nodiscard]] Value get(const std::string& name) const;
 

@@ -47,7 +47,7 @@ struct NativeFunction {
   Builtin builtin = Builtin::kNone;
   /// Optional single-result fast path; when set, it must be behaviourally
   /// identical to `fn` truncated to one result.
-  NativeFn1 fn1;
+  NativeFn1 fn1 = nullptr;
 };
 
 /// Table: Lua-style associative container. Keys are strings or numbers.

@@ -68,12 +68,6 @@ Scenario& Scenario::telemetry(bool enabled) {
   return *this;
 }
 
-Scenario& Scenario::telemetry(telemetry::MetricRegistry& external) {
-  telemetry_enabled_ = true;
-  external_registry_ = &external;
-  return *this;
-}
-
 Scenario& Scenario::rtt_groups(std::uint32_t n) {
   if (n == 0) throw std::invalid_argument("Scenario::rtt_groups: need at least one group");
   rtt_groups_ = n;
@@ -120,12 +114,6 @@ Scenario& Scenario::name(std::string device_name) {
 
 Scenario& Scenario::link_mbit(std::uint64_t mbit) {
   cur_device().link_mbit = mbit;
-  return *this;
-}
-
-Scenario& Scenario::queues(int n) {
-  if (n <= 0) throw std::invalid_argument("Scenario::queues: need at least one queue");
-  cur_device().queues = n;
   return *this;
 }
 
@@ -313,14 +301,8 @@ std::unique_ptr<Testbed> Scenario::build() {
     });
   }
 
-  // 5. Registry and fault planes. One plane per shard: a site's fault
-  // events must run on the engine of the shard that owns the component.
-  if (external_registry_ != nullptr) {
-    tb->registry_ = external_registry_;
-  } else {
-    tb->owned_registry_ = std::make_unique<telemetry::MetricRegistry>();
-    tb->registry_ = tb->owned_registry_.get();
-  }
+  // 5. Fault planes. One plane per shard: a site's fault events must run
+  // on the engine of the shard that owns the component.
   if (!fault_spec_.empty()) {
     for (std::size_t k = 0; k < effective; ++k)
       tb->planes_.push_back(
@@ -335,14 +317,12 @@ std::unique_ptr<Testbed> Scenario::build() {
             [this](std::size_t a, std::size_t b) { return devices_[a].id < devices_[b].id; });
   for (const std::size_t i : by_id) {
     const DeviceDecl& d = devices_[i];
-    nic::ChipSpec spec = d.chip;
-    if (d.queues > 0) spec.num_queues = d.queues;
     const std::uint64_t port_seed =
         d.seed ? *d.seed : mix_seed(seed_, static_cast<std::uint64_t>(d.id));
     Testbed::DeviceEntry entry;
     entry.name = d.name;
     entry.shard = shard_of[i];
-    entry.port = std::make_unique<nic::Port>(tb->runtime_->shard(shard_of[i]), std::move(spec),
+    entry.port = std::make_unique<nic::Port>(tb->runtime_->shard(shard_of[i]), d.chip,
                                              d.link_mbit, port_seed);
     if (!d.rx_store) entry.port->rx_queue(0).set_store(false);
     tb->devices_.emplace(d.id, std::move(entry));
@@ -439,18 +419,18 @@ std::unique_ptr<Testbed> Scenario::build() {
   // MetricRegistry::snapshot merges the trees at quiesced instants.
   if (telemetry_enabled_) {
     for (std::size_t k = 0; k < tb->planes_.size(); ++k)
-      tb->planes_[k]->bind_telemetry(tb->registry_->shard(k));
+      tb->planes_[k]->bind_telemetry(tb->registry_.shard(k));
     for (std::size_t k = 0; k < effective; ++k) {
       const std::string prefix =
           effective == 1 ? "engine" : "engine.shard" + std::to_string(k);
-      tb->runtime_->shard(k).bind_telemetry(tb->registry_->shard(k), prefix);
+      tb->runtime_->shard(k).bind_telemetry(tb->registry_.shard(k), prefix);
     }
     for (auto& [id, entry] : tb->devices_)
-      entry.port->bind_telemetry(tb->registry_->shard(entry.shard), "port." + entry.name);
+      entry.port->bind_telemetry(tb->registry_.shard(entry.shard), "port." + entry.name);
     for (std::size_t vi = 0; vi < vswitches_.size(); ++vi) {
       const std::size_t shard = shard_of[device_index(vswitches_[vi].in, "vswitch")];
       const std::string stem = vi == 0 ? "vswitch" : "vswitch" + std::to_string(vi + 1);
-      tb->vswitches_[vi]->bind_telemetry(tb->registry_->shard(shard), stem);
+      tb->vswitches_[vi]->bind_telemetry(tb->registry_.shard(shard), stem);
     }
 
     // 10b. The always-on RTT plane: one single-writer shard slice per
@@ -475,13 +455,13 @@ std::unique_ptr<Testbed> Scenario::build() {
       const std::size_t shard = shard_of[device_index(vswitches_[vi].in, "vswitch")];
       tb->vswitches_[vi]->attach_rtt(&plane->shard(shard));
     }
-    plane->bind_telemetry(tb->registry_->shard(0));
+    plane->bind_telemetry(tb->registry_.shard(0));
 
     // 10c. The telemetry stream rides the same hook: right after a window
     // closes, publish and append the snapshot plus that window to the file,
     // at a quiesced instant — stdout stays byte-identical with it on or off.
     if (!stream_path_.empty())
-      tb->stream_ = std::make_unique<telemetry::TelemetryStream>(*tb->registry_, stream_path_);
+      tb->stream_ = std::make_unique<telemetry::TelemetryStream>(tb->registry_, stream_path_);
     telemetry::TelemetryStream* stream = tb->stream_.get();
     Testbed* tb_raw = tb.get();
     tb->runtime_->add_window_hook(rtt_cfg.window_ps, [plane, stream, tb_raw](sim::SimTime t) {

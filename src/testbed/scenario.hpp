@@ -71,9 +71,6 @@ class Scenario {
   /// Disables (or re-enables) telemetry binding; default on. Also gates the
   /// always-on RTT plane.
   Scenario& telemetry(bool enabled);
-  /// Binds all components into a caller-owned registry instead of the
-  /// testbed-owned one (it must outlive the testbed).
-  Scenario& telemetry(telemetry::MetricRegistry& external);
   /// Flow groups of the always-on RTT plane (rounded up to a power of two;
   /// default 1). A frame's `flow` label selects its group modulo this.
   Scenario& rtt_groups(std::uint32_t n);
@@ -95,8 +92,6 @@ class Scenario {
   Scenario& name(std::string device_name);
   /// Link speed in Mbit/s (default 10'000).
   Scenario& link_mbit(std::uint64_t mbit);
-  /// Overrides the chip's TX/RX queue count.
-  Scenario& queues(int n);
   /// Disables payload storage on RX queue 0 (pure counting sinks).
   Scenario& rx_store(bool store);
   /// Whether this device's RX path folds stamped frames into the RTT
@@ -163,7 +158,6 @@ class Scenario {
     nic::ChipSpec chip;
     std::string name;
     std::uint64_t link_mbit = 10'000;
-    int queues = -1;  // -1: chip default
     bool rx_store = true;
     bool rtt_record = true;
     std::optional<std::uint64_t> seed;
@@ -208,7 +202,6 @@ class Scenario {
   int shards_ = 1;
   fault::FaultSpec fault_spec_;
   bool telemetry_enabled_ = true;
-  telemetry::MetricRegistry* external_registry_ = nullptr;
   std::uint32_t rtt_groups_ = 1;
   std::string stream_path_;  // empty: no stream
 

@@ -111,7 +111,7 @@ class Testbed {
 
   // --- telemetry -----------------------------------------------------------
 
-  [[nodiscard]] telemetry::MetricRegistry& registry() { return *registry_; }
+  [[nodiscard]] telemetry::MetricRegistry& registry() { return registry_; }
   /// Makes the registry exact at a quiesced instant: flushes every shard
   /// engine's batched counters (EventQueue::publish_telemetry), then runs
   /// the on_publish callbacks in registration order. The telemetry stream
@@ -183,8 +183,7 @@ class Testbed {
   // and channels, ports reference shard engines and fault planes, so the
   // members they point into must be declared first (destroyed last).
   core::RunState run_state_;
-  std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
-  telemetry::MetricRegistry* registry_ = nullptr;
+  telemetry::MetricRegistry registry_;
   // Ports and links hold RttShard pointers into the plane, and the stream
   // reads the registry and plane: both must outlive devices_/links_ below.
   std::unique_ptr<telemetry::RttPlane> rtt_plane_;

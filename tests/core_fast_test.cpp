@@ -1,5 +1,5 @@
 // Tests for the fast-path device API (Listings 1-3 semantics), the task
-// system, pipes, and the field-modifier engine.
+// system and the field-modifier engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -173,36 +173,6 @@ TEST(Tasks, ResetRunStateAdvancesGeneration) {
   EXPECT_GT(mc::run_generation(), g0);
 }
 
-TEST(Tasks, PipePassesMessagesBetweenTasks) {
-  mc::reset_run_state();
-  mc::Pipe<int> pipe(16);
-  mc::TaskSet tasks;
-  std::atomic<int> sum{0};
-  tasks.launch("producer", [&] {
-    for (int i = 1; i <= 100; ++i) pipe.push(i);
-  });
-  tasks.launch("consumer", [&] {
-    int received = 0;
-    while (received < 100) {
-      if (auto v = pipe.pop()) {
-        sum += *v;
-        ++received;
-      }
-    }
-  });
-  tasks.wait();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(Tasks, PipeTryPopOnEmpty) {
-  mc::Pipe<int> pipe(4);
-  EXPECT_FALSE(pipe.try_pop().has_value());
-  pipe.push(7);
-  auto v = pipe.try_pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
 // ---------------------------------------------------------------------------
 // Field modifier engine and RNGs (Section 5.6.2)
 // ---------------------------------------------------------------------------
@@ -236,10 +206,13 @@ TEST(FieldModifier, RandomStaysInRange) {
 TEST(FieldModifier, WritesBigEndian) {
   mc::ModifierProgram prog({{.field = {0, 2}, .kind = mc::FieldAction::Kind::kConstant,
                              .value = 0x1234}});
-  std::uint8_t pkt[2] = {};
+  // Room past the field: a 2-byte write must leave the next bytes alone.
+  std::uint8_t pkt[4] = {};
   prog.apply(pkt);
   EXPECT_EQ(pkt[0], 0x12);
   EXPECT_EQ(pkt[1], 0x34);
+  EXPECT_EQ(pkt[2], 0);
+  EXPECT_EQ(pkt[3], 0);
 }
 
 TEST(FieldModifier, TauswortheLooksUniform) {

@@ -278,6 +278,23 @@ TEST(PacketView, Udp6Fill) {
   EXPECT_EQ(view.udp().length(), view.ip6().payload_length());
 }
 
+// IPsec framing (paper Section 3.4: IPsec example traffic).
+TEST(IpsecView, EspFillRoundTrip) {
+  std::vector<std::uint8_t> frame(96, 0);
+  mp::EspPacketView view{{frame.data(), frame.size()}};
+  view.fill(96, mp::MacAddress::from_uint64(1), mp::MacAddress::from_uint64(2),
+            mp::IPv4Address{10, 0, 0, 1}, mp::IPv4Address{10, 0, 0, 2}, /*spi=*/0xdeadbeef,
+            /*sequence=*/42);
+  EXPECT_EQ(view.ip().ip_protocol(), mp::IpProtocol::kEsp);
+  EXPECT_TRUE(mp::verify_ipv4_checksum(view.ip()));
+  EXPECT_EQ(view.esp().spi(), 0xdeadbeefu);
+  EXPECT_EQ(mp::ntoh32(view.esp().sequence_be), 42u);
+  const auto pc = mp::classify({frame.data(), frame.size()});
+  ASSERT_TRUE(pc.has_value());
+  EXPECT_EQ(pc->l4_protocol, mp::IpProtocol::kEsp);
+  EXPECT_FALSE(pc->is_udp);
+}
+
 // ---------------------------------------------------------------------------
 // Classification
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -437,6 +438,29 @@ TEST(ScriptBindings, ParseIpAddressMatchesHostOrderArithmetic) {
   runtime.run_master();
   EXPECT_EQ(runtime.master().get_global("base").as_number(), 0x0a000001);
   EXPECT_EQ(runtime.master().get_global("plus").as_number(), 0x0a000100);
+}
+
+TEST(ScriptBindings, RuntimeReleasesScriptStateWhenDestroyed) {
+  // A tree-walker `master` captures the globals scope, which holds `master`
+  // in turn: the runtime must break that cycle, or a mempool stored in a
+  // global (and everything else the script reached) outlives it.
+  for (const bool tree_walk : {false, true}) {
+    SCOPED_TRACE(tree_walk ? "tree-walker" : "vm");
+    mc::reset_run_state();
+    std::weak_ptr<sc::UserData> pool;
+    {
+      sc::ScriptRuntime runtime(R"(
+        function master()
+          mem = memory.createMemPool()
+        end
+      )");
+      runtime.master().set_tree_walk(tree_walk);
+      runtime.run_master();
+      pool = runtime.master().get_global("mem").as_userdata();
+      ASSERT_FALSE(pool.expired());
+    }
+    EXPECT_TRUE(pool.expired());
+  }
 }
 
 TEST(ScriptBindings, MissingMasterIsAnError) {

@@ -184,7 +184,7 @@ TEST(Testbed, LookupByNameAndId) {
   EXPECT_THROW((void)tb->forwarder(1), std::out_of_range);
 }
 
-TEST(Testbed, DuplexLinkCreatesBothDirections) {
+TEST(Testbed, DuplexCreatesBothDirections) {
   mtb::Scenario s;
   s.device(0, mn::intel_x540()).device(1, mn::intel_x540()).link(0, 1).duplex().couple(0, 1);
   auto tb = s.build();
@@ -221,16 +221,6 @@ TEST(Testbed, ShardedTelemetryUsesPerShardPrefixes) {
   EXPECT_TRUE(has_counter(snap, "engine.shard0.events_executed"));
   EXPECT_TRUE(has_counter(snap, "engine.shard1.events_executed"));
   EXPECT_FALSE(has_counter(snap, "engine.events_executed"));
-}
-
-TEST(Testbed, ExternalRegistryIsUsedWhenProvided) {
-  mt::MetricRegistry external;
-  mtb::Scenario s = fig10_scenario(1);
-  s.telemetry(external);
-  auto tb = s.build();
-  EXPECT_EQ(&tb->registry(), &external);
-  tb->publish_telemetry();
-  EXPECT_GT(external.metric_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
