@@ -1,5 +1,6 @@
 #include "core/device.hpp"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstring>
@@ -51,6 +52,13 @@ Device* DeviceTable::find(int id) {
   return devices_[static_cast<std::size_t>(id)].get();
 }
 
+void DeviceTable::release_pool(const membuf::Mempool& pool) {
+  for (const auto& dev : devices_) {
+    if (dev == nullptr) continue;
+    for (const auto& q : dev->tx_queues_) q->release_pool(pool);
+  }
+}
+
 DeviceTable& DeviceTable::process_default() {
   static DeviceTable table;
   return table;
@@ -83,6 +91,10 @@ void TxQueue::reset() {
   prev_pools_.clear();
   head_ = 0;
   pace_next_ns_ = 0;
+}
+
+void TxQueue::release_pool(const membuf::Mempool& pool) {
+  if (std::find(prev_pools_.begin(), prev_pools_.end(), &pool) != prev_pools_.end()) reset();
 }
 
 TxQueue::~TxQueue() {

@@ -58,6 +58,14 @@ class TxQueue {
   /// owns the buffer storage, so nothing leaks.
   void reset();
 
+  /// reset()s this queue if its in-flight batch holds a buffer of `pool`.
+  /// Call before `pool` is destroyed, so the next send() does not free
+  /// into it.
+  void release_pool(const membuf::Mempool& pool);
+
+  /// Buffers of the previous send, recycled by the next one.
+  [[nodiscard]] std::size_t in_flight() const { return prev_batch_.size(); }
+
   [[nodiscard]] std::uint64_t sent_packets() const { return sent_packets_; }
   [[nodiscard]] std::uint64_t sent_bytes() const { return sent_bytes_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
@@ -233,6 +241,12 @@ class DeviceTable {
 
   /// The device if already configured, else nullptr.
   [[nodiscard]] Device* find(int id);
+
+  /// TxQueue::release_pool on every TX queue of every device: a pool owner
+  /// calls this before destroying the pool. It reads each queue's
+  /// in-flight batch, so no other thread may be sending on this table's
+  /// queues meanwhile.
+  void release_pool(const membuf::Mempool& pool);
 
   /// The table behind the deprecated Device::config registry.
   static DeviceTable& process_default();

@@ -1,5 +1,6 @@
 #include "dut/vswitch.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -63,8 +64,7 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     QueueState q;
     q.cfg = tc;
     q.bucket = TokenBucket(tc.rate_mbit, tc.burst_bytes);
-    q.ring.slots.resize(std::max<std::size_t>(1, tc.queue_frames));
-    q.retag_cache.reserve(kRetagCacheCapacity);
+    q.ring.capacity = std::max<std::size_t>(1, tc.queue_frames);
     if (tc.vid != 0) {
       auto& slot = vid_table_[tc.vid & 0x0fff];
       if (slot != -1) throw std::invalid_argument("VSwitch: duplicate tenant vid");
@@ -81,9 +81,17 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
     q.cfg.vport = cfg_.flood_vport;
     q.cfg.priority = VSwitchConfig::kPriorityClasses - 1;
     q.cfg.quantum_bytes = std::max<std::uint32_t>(1, cfg_.flood_quantum_bytes);
-    q.ring.slots.resize(std::max<std::size_t>(1, cfg_.flood_queue_frames));
-    q.retag_cache.reserve(kRetagCacheCapacity);
+    q.ring.capacity = std::max<std::size_t>(1, cfg_.flood_queue_frames);
     tenants_.push_back(std::move(q));
+  }
+
+  std::size_t ring_slots = 0;
+  for (const QueueState& q : tenants_) ring_slots += q.ring.capacity;
+  ring_slab_ = std::make_unique_for_overwrite<unsigned char[]>(ring_slots * sizeof(nic::Frame));
+  auto* next_slot = reinterpret_cast<nic::Frame*>(ring_slab_.get());
+  for (QueueState& q : tenants_) {
+    q.ring.slots = next_slot;
+    next_slot += q.ring.capacity;
   }
 
   vports_.resize(out_ports_.size());
@@ -108,6 +116,10 @@ VSwitch::VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
   }
 
   rx_.set_callback([this](const nic::RxQueueModel::Entry&) { packet_arrived(); });
+}
+
+VSwitch::~VSwitch() {
+  for (QueueState& q : tenants_) q.ring.clear();
 }
 
 void VSwitch::add_flow(const FiveTupleKey& key, std::size_t tenant) {
@@ -439,6 +451,9 @@ void VSwitch::rewrite_frame(QueueState& q, nic::Frame& frame) {
   }
 
   std::shared_ptr<const nic::Payload> rewritten = nic::make_payload(std::move(out));
+  // Sized on the first rewrite: most tenants never retag, and a build with
+  // thousands of them should not allocate a cache for each.
+  if (q.retag_cache.empty()) q.retag_cache.reserve(kRetagCacheCapacity);
   if (q.retag_cache.size() < kRetagCacheCapacity) {
     q.retag_cache.push_back(RetagCacheEntry{frame.data, rewritten});
   } else {

@@ -5,9 +5,9 @@
 // line of work): frames arriving on one ingress port are matched against a
 // five-tuple exact-match table, then a VLAN-id table; the owning tenant's
 // token-bucket policer admits or drops; admitted frames sit in the
-// tenant's preallocated egress ring until the egress scheduler — strict
-// priority across classes, deficit round robin within a class — emits them
-// on the tenant's vport, paced at the vport's wire rate so the priority
+// tenant's egress ring until the egress scheduler — strict priority
+// across classes, deficit round robin within a class — emits them on the
+// tenant's vport, paced at the vport's wire rate so the priority
 // decision is made per frame instead of being flattened by a deep TX ring.
 //
 // Invariants (audited by health::make_vswitch_checker at quiesced window
@@ -19,14 +19,17 @@
 // at any quiesced instant.
 //
 // Steady state is allocation-free: match tables, egress rings, and DRR
-// rotation lists are sized at construction; VLAN push/pop/retag reuses a
-// per-tenant copy-on-write buffer cache keyed by the source buffer
-// (generators cycle a handful of templates, so rewrites are computed once
-// and shared by every subsequent frame off the same template).
+// rotation lists are sized at construction (the rings as views into one
+// uninitialised slab, whose pages are committed only where frames queue);
+// VLAN push/pop/retag reuses a per-tenant copy-on-write buffer cache keyed
+// by the source buffer (generators cycle a handful of templates, so
+// rewrites are computed once and shared by every subsequent frame off the
+// same template).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -136,6 +139,39 @@ struct VSwitchConfig {
   std::vector<TenantConfig> tenants;
 };
 
+/// Fixed-capacity frame ring: a (slots, capacity, head, count) view into
+/// uninitialised storage the owner provides (VSwitch: one slab for all its
+/// egress rings). A frame is constructed in its slot on push and destroyed
+/// on pop, and an emptied ring restarts at slot 0, so a ring only ever
+/// touches as many slots as it held at once. The owner calls clear()
+/// before releasing the storage.
+struct FrameRing {
+  nic::Frame* slots = nullptr;
+  std::size_t capacity = 0;
+  std::size_t head = 0;
+  std::size_t count = 0;
+
+  [[nodiscard]] bool full() const { return count == capacity; }
+  [[nodiscard]] bool empty() const { return count == 0; }
+  void push(nic::Frame&& f) {
+    std::size_t i = head + count;
+    if (i >= capacity) i -= capacity;
+    ::new (static_cast<void*>(slots + i)) nic::Frame(std::move(f));
+    ++count;
+  }
+  [[nodiscard]] const nic::Frame& front() const { return slots[head]; }
+  nic::Frame pop() {
+    nic::Frame f = std::move(slots[head]);
+    slots[head].~Frame();
+    if (--count == 0 || ++head == capacity) head = 0;
+    return f;
+  }
+  /// Destroys every queued frame.
+  void clear() {
+    while (count > 0) pop();
+  }
+};
+
 /// Per-tenant books, readable at quiesced instants.
 struct TenantCounters {
   std::uint64_t matched = 0;
@@ -153,6 +189,10 @@ class VSwitch {
   /// on `events` (Scenario couples them).
   VSwitch(sim::EventQueue& events, nic::Port& in_port, int in_queue,
           std::vector<nic::Port*> out_ports, VSwitchConfig config);
+  /// Destroys the frames still queued in the egress rings.
+  ~VSwitch();
+  VSwitch(const VSwitch&) = delete;
+  VSwitch& operator=(const VSwitch&) = delete;
 
   /// Installs a five-tuple exact-match rule owned by `tenant` (index into
   /// config.tenants). Five-tuple rules win over the VID table. Throws
@@ -196,28 +236,6 @@ class VSwitch {
   struct FlowSlot {
     FiveTupleKey key;
     std::int32_t tenant = -1;  // -1 = empty
-  };
-
-  /// Fixed-capacity frame ring (vector + head/count, no allocation after
-  /// construction).
-  struct FrameRing {
-    std::vector<nic::Frame> slots;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    [[nodiscard]] bool full() const { return count == slots.size(); }
-    [[nodiscard]] bool empty() const { return count == 0; }
-    void push(nic::Frame&& f) {
-      slots[(head + count) % slots.size()] = std::move(f);
-      ++count;
-    }
-    [[nodiscard]] const nic::Frame& front() const { return slots[head]; }
-    nic::Frame pop() {
-      nic::Frame f = std::move(slots[head]);
-      head = (head + 1) % slots.size();
-      --count;
-      return f;
-    }
   };
 
   struct RetagCacheEntry {
@@ -289,6 +307,9 @@ class VSwitch {
   /// queue when flood_vport >= 0.
   std::vector<QueueState> tenants_;
   std::size_t flood_queue_ = 0;  // index into tenants_ (== tenant count)
+  /// Storage behind every egress ring, allocated uninitialised: pages are
+  /// committed only where frames actually queue.
+  std::unique_ptr<unsigned char[]> ring_slab_;
 
   std::vector<FlowSlot> flows_;
   std::size_t flow_mask_ = 0;

@@ -106,12 +106,18 @@ std::string Mempool::audit() const {
           " buffers but the pool owns only " + std::to_string(storage_.size());
   } else {
     // Membership + duplicate detection: binary-search each free-list entry
-    // against a sorted index of the owned buffers (O(n log n) per audit).
-    std::vector<const PktBuf*> owned;
-    owned.reserve(storage_.size());
-    for (const auto& buf : storage_) owned.push_back(buf.get());
-    std::sort(owned.begin(), owned.end());
-    std::vector<char> seen(owned.size(), 0);
+    // against a sorted index of the owned buffers. The pool never changes
+    // its buffer set, so the index is built by the first audit and reused;
+    // later audits allocate nothing.
+    std::vector<const PktBuf*>& owned = audit_owned_;
+    if (owned.size() != storage_.size()) {
+      owned.clear();
+      owned.reserve(storage_.size());
+      for (const auto& buf : storage_) owned.push_back(buf.get());
+      std::sort(owned.begin(), owned.end());
+    }
+    std::vector<char>& seen = audit_seen_;
+    seen.assign(owned.size(), 0);
     for (const PktBuf* buf : free_list_) {
       const auto it = std::lower_bound(owned.begin(), owned.end(), buf);
       if (buf == nullptr || it == owned.end() || *it != buf || buf->pool_ != this) {

@@ -63,7 +63,8 @@ class Mempool {
   /// distinct buffers owned by this pool, and no more than capacity. A
   /// double free or a foreign pointer corrupts this. Returns an empty
   /// string when consistent, else a description of the first violation.
-  /// O(capacity) — call at window boundaries, not per allocation.
+  /// O(capacity) — call at window boundaries, not per allocation. Only the
+  /// first audit allocates (its scratch index).
   [[nodiscard]] std::string audit() const;
 
   /// Times an allocation came back short (pool genuinely empty or an
@@ -107,6 +108,9 @@ class Mempool {
 
   std::vector<std::unique_ptr<PktBuf>> storage_;
   std::vector<PktBuf*> free_list_;
+  // audit() scratch (guarded by lock_): sorted owned buffers, seen flags.
+  mutable std::vector<const PktBuf*> audit_owned_;
+  mutable std::vector<char> audit_seen_;
   std::size_t low_watermark_;
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   std::uint64_t exhausted_events_ = 0;  // guarded by lock_

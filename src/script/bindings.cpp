@@ -601,12 +601,20 @@ void install_modules(Interpreter& interp, const std::shared_ptr<ScriptRuntime::S
       Table::Key{"createMemPool"},
       make_native("memory.createMemPool", [](Interpreter& in, std::vector<Value>& args) {
         Value init = args.empty() ? Value() : args[0];
-        auto pool = std::make_shared<membuf::Mempool>(
-            2048, [&in, &init](membuf::PktBuf& buf) {
-              if (!init.is_callable()) return;
-              buf.set_length(60);
-              std::vector<Value> cb_args{wrap_packet(&buf)};
-              in.call(init, std::move(cb_args));
+        // Script pools die with their runtime (or slave), while devices are
+        // process-global: a TX queue still holding this pool's last batch
+        // would free into it on its next send, so it is reset first.
+        std::shared_ptr<membuf::Mempool> pool(
+            new membuf::Mempool(2048,
+                                [&in, &init](membuf::PktBuf& buf) {
+                                  if (!init.is_callable()) return;
+                                  buf.set_length(60);
+                                  std::vector<Value> cb_args{wrap_packet(&buf)};
+                                  in.call(init, std::move(cb_args));
+                                }),
+            [](membuf::Mempool* p) {
+              core::DeviceTable::process_default().release_pool(*p);
+              delete p;
             });
         return std::vector<Value>{wrap(mempool_methods(), std::move(pool))};
       }));

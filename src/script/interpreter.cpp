@@ -1,5 +1,6 @@
 #include "script/interpreter.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -85,9 +86,26 @@ Interpreter::Interpreter(std::shared_ptr<const Program> program)
 }
 
 // Script functions capture the globals scope and the globals hold those
-// functions: a reference cycle. Breaking it here releases the program's
-// state (tables, userdata such as mempools) with the interpreter.
-Interpreter::~Interpreter() { globals_->clear(); }
+// functions: a reference cycle. Local functions close the same kind of
+// cycle through the scope they capture. Breaking them here releases the
+// program's state (tables, userdata such as mempools) with the interpreter.
+Interpreter::~Interpreter() {
+  globals_->clear();
+  for (const auto& weak : captured_) {
+    if (const auto env = weak.lock()) env->clear();
+  }
+}
+
+void Interpreter::note_capture(const std::shared_ptr<Environment>& env) {
+  if (!captured_.empty() && captured_.back().lock() == env) return;  // same scope again
+  if (captured_.size() >= captured_prune_at_) {
+    // Drop scopes that already died, so closures made in a loop keep the
+    // list proportional to the live scopes.
+    std::erase_if(captured_, [](const std::weak_ptr<Environment>& w) { return w.expired(); });
+    captured_prune_at_ = std::max<std::size_t>(64, 2 * captured_.size());
+  }
+  captured_.push_back(env);
+}
 
 bool Interpreter::default_tree_walk() {
   const char* env = std::getenv("MOONGEN_SCRIPT_TREEWALK");
@@ -263,6 +281,7 @@ Interpreter::Flow Interpreter::execute(const Stmt& stmt, const std::shared_ptr<E
       auto fn = std::make_shared<ScriptFunction>();
       fn->decl = stmt.function.get();
       fn->closure = env;
+      note_capture(env);
       fn->name = stmt.function->name;
       const Value fn_value{fn};
       if (stmt.is_local_function || stmt.func_path.size() == 1) {
@@ -372,6 +391,7 @@ Value Interpreter::evaluate(const Expr& expr, const std::shared_ptr<Environment>
       auto fn = std::make_shared<ScriptFunction>();
       fn->decl = expr.function.get();
       fn->closure = env;
+      note_capture(env);
       fn->name = expr.function->name;
       return Value(fn);
     }

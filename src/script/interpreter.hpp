@@ -143,6 +143,8 @@ class Interpreter {
     std::vector<Value> values;
   };
 
+  /// Records `env` as captured by a new closure (see captured_).
+  void note_capture(const std::shared_ptr<Environment>& env);
   Flow execute_block(const Block& block, const std::shared_ptr<Environment>& env);
   Flow execute(const Stmt& stmt, const std::shared_ptr<Environment>& env);
 
@@ -172,6 +174,11 @@ class Interpreter {
 
   std::shared_ptr<const Program> program_;
   std::shared_ptr<Environment> globals_;
+  /// Scopes captured by tree-walker closures (weakly). A `local function`
+  /// stored in the scope it captures is a reference cycle; ~Interpreter
+  /// clears every captured scope still alive to break such cycles.
+  std::vector<std::weak_ptr<Environment>> captured_;
+  std::size_t captured_prune_at_ = 64;
   std::uint64_t step_limit_ = 0;
   std::uint64_t steps_ = 0;
   bool tree_walk_ = default_tree_walk();

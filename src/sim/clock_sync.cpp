@@ -1,7 +1,8 @@
 #include "sim/clock_sync.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <array>
+#include <stdexcept>
 
 namespace moongen::sim {
 
@@ -39,15 +40,19 @@ std::int64_t measure_clock_difference(const PtpClock& a, const PtpClock& b, SimT
 
 ClockSyncResult synchronize_clocks(const PtpClock& a, PtpClock& b, SimTime start,
                                    std::mt19937_64& rng, const ClockSyncConfig& config) {
+  if (config.attempts < 1 || config.attempts > ClockSyncConfig::kMaxAttempts)
+    throw std::invalid_argument("synchronize_clocks: attempts must be in [1, kMaxAttempts]");
   SimTime cursor = start;
-  std::vector<std::int64_t> diffs;
-  diffs.reserve(static_cast<std::size_t>(config.attempts));
-  for (int i = 0; i < config.attempts; ++i)
-    diffs.push_back(measure_clock_difference(a, b, &cursor, rng, config));
+  // Timestampers resynchronize on every sample: a stack buffer keeps that
+  // path allocation-free.
+  std::array<std::int64_t, ClockSyncConfig::kMaxAttempts> diffs;
+  const auto n = static_cast<std::size_t>(config.attempts);
+  for (std::size_t i = 0; i < n; ++i)
+    diffs[i] = measure_clock_difference(a, b, &cursor, rng, config);
 
-  std::nth_element(diffs.begin(), diffs.begin() + static_cast<std::ptrdiff_t>(diffs.size() / 2),
-                   diffs.end());
-  const std::int64_t median = diffs[diffs.size() / 2];
+  const auto mid = diffs.begin() + static_cast<std::ptrdiff_t>(n / 2);
+  std::nth_element(diffs.begin(), mid, diffs.begin() + static_cast<std::ptrdiff_t>(n));
+  const std::int64_t median = *mid;
 
   ClockSyncResult result;
   result.applied_adjustment_ps = -median;

@@ -23,7 +23,11 @@ struct ClockSyncConfig {
   double outlier_probability = 0.05;
   /// Maximum extra delay of an outlier read.
   SimTime outlier_extra_ps = 5'000'000;  // 5 us
-  /// Number of repeated difference measurements (paper: 7).
+  /// Largest accepted `attempts`.
+  static constexpr int kMaxAttempts = 64;
+  /// Number of repeated difference measurements (paper: 7), in
+  /// [1, kMaxAttempts]; synchronize_clocks throws std::invalid_argument
+  /// otherwise.
   int attempts = 7;
 };
 

@@ -11,16 +11,22 @@
 //  * near-future timers (within ~268 us of the cursor) go into a timing
 //    wheel of 4096 slots of 65.536 ns — schedule + dispatch are O(1)
 //    bucket operations for the back-to-back frame cadence;
+//  * each wheel slot is a node chain kept in (time, seq) order: an event
+//    scheduled in order is a tail append, and a slot that received an
+//    out-of-order event is sorted once, when the cursor reaches it;
 //  * far timers overflow into a binary heap and are merged event-by-event
 //    with the wheel stream, preserving exact (time, seq) order across the
 //    wheel/heap boundary;
-//  * all pending events live in one contiguous node pool with LIFO reuse —
-//    wheel slots and the heap hold 4-byte links/24-byte keys, so the few
-//    in-flight events of a typical simulation stay in a few cache lines.
+//  * event records live in fixed blocks that never move, with LIFO node
+//    reuse: an action runs in place in its record (no relocation per
+//    event), and the few in-flight events of a typical simulation stay in
+//    a few cache lines.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -44,6 +50,8 @@ class EventTraceSink {
   virtual void on_event(SimTime time_ps, std::uint64_t seq) = 0;
 };
 
+class EventQueueProbe;  // test access (defined by the engine tests)
+
 class EventQueue {
  public:
   using Action = InlineFunction;
@@ -56,15 +64,16 @@ class EventQueue {
   static constexpr std::size_t kNumSlots = 4096;
   static constexpr SimTime kSlotWidth = SimTime{1} << kSlotShift;
   static constexpr SimTime kHorizonPs = kSlotWidth * kNumSlots;
+  /// Event records per storage block. Blocks are allocated uninitialised
+  /// and records are constructed on first use, so a small simulation
+  /// commits only the pages its in-flight events touch.
+  static constexpr std::size_t kNodesPerBlock = 256;
 
-  EventQueue() {
-    slot_head_.fill(kNil);
-    // Reserve pool headroom up front: growing the node pool relocates every
-    // pending closure (an indirect call per node), which dominates bursty
-    // schedule patterns. The reservation is virtual address space only —
-    // pages are committed on first touch, so small sims stay small.
-    pool_.reserve(32768);
-  }
+  EventQueue() { slot_head_.fill(kNil); }
+  /// Destroys every pending action (their captures, e.g. in-flight frames).
+  ~EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Current virtual time.
   [[nodiscard]] SimTime now() const { return now_; }
@@ -79,12 +88,13 @@ class EventQueue {
   /// (no heap allocation). Use these from per-frame code; a capture that
   /// grows beyond InlineFunction::kCapacity then fails to compile instead
   /// of silently reintroducing a malloc per event. The closure is emplaced
-  /// directly into the pooled event record — zero relocations on the way in.
+  /// directly into the event record, where it also runs — it is never
+  /// relocated.
   template <typename F>
   void schedule_at_inline(SimTime t, F&& f) {
     static_assert(InlineFunction::fits_inline<std::decay_t<F>>(),
                   "hot-path event closure must fit InlineFunction's inline buffer");
-    pool_[route_event(t)].ev.action.emplace(std::forward<F>(f));
+    node(route_event(t)).action.emplace(std::forward<F>(f));
   }
   template <typename F>
   void schedule_in_inline(SimTime delay, F&& f) {
@@ -104,9 +114,7 @@ class EventQueue {
   void stop() { stopped_ = true; }
   [[nodiscard]] bool stopped() const { return stopped_; }
 
-  [[nodiscard]] std::size_t pending() const {
-    return bucket_count_ + (ready_.size() - ready_pos_) + heap_.size();
-  }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Scheduling-route counters: events that entered the timer wheel vs. the
@@ -124,18 +132,21 @@ class EventQueue {
   [[nodiscard]] EventTraceSink* trace_sink() const { return trace_sink_; }
 
   /// Structural invariant audit (the health plane's engine checker). Walks
-  /// the node pool, freelist, wheel slots, occupancy bitmap, ready buffer
-  /// and overflow heap and cross-checks their accounting:
-  ///   * freelist + wheel chains + ready tail + heap == pool size, with no
-  ///     node reachable twice (a cycle or double-release corrupts this);
-  ///   * bucket_count_ equals the summed wheel chain lengths and the
-  ///     occupancy bitmap marks exactly the non-empty slots;
+  /// the freelist, wheel slots, occupancy bitmaps, cursor chain and
+  /// overflow heap and cross-checks their accounting:
+  ///   * freelist + wheel chains + cursor chain + heap + running actions
+  ///     == constructed records, with no record reachable twice (a cycle
+  ///     or double release corrupts this), and the pending count matches;
+  ///   * the occupancy bitmap marks exactly the non-empty slots, each chain
+  ///     ends at its recorded tail, and every chain not flagged for sorting
+  ///     (and the cursor chain always) is in (time, seq) order;
   ///   * no pending event is scheduled before now() (time monotonicity) and
   ///     every wheel-resident event lies within the wheel horizon of the
   ///     cursor slot.
   /// Returns an empty string when consistent, else a description of the
-  /// first violated invariant. O(pool size) — call at window boundaries,
-  /// not per event.
+  /// first violated invariant. O(records) — call at window boundaries, not
+  /// per event. Allocation-free once its scratch has grown to the record
+  /// count.
   [[nodiscard]] std::string audit() const;
 
   /// Registers `<prefix>.events_executed`, `<prefix>.wheel_scheduled`,
@@ -151,32 +162,31 @@ class EventQueue {
   void publish_telemetry();
 
  private:
-  struct Event {
-    SimTime time;
-    std::uint64_t seq;
-    Action action;
-  };
+  friend class EventQueueProbe;  // tests corrupt the freelist to exercise audit()
+
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// Pool node: every pending event lives in pool_; wheel slots chain nodes
-  /// through `next` (also the freelist link). One contiguous allocation and
-  /// LIFO node reuse keep the working set a few cache lines for the typical
-  /// handful of in-flight events, instead of 4096 scattered slot vectors.
+  static constexpr std::size_t kBitmapWords = kNumSlots / 64;
+
+  /// Event record. Chains (wheel slots, the cursor chain, the freelist)
+  /// link records through `next`.
   struct Node {
-    Event ev;
+    Action action;
+    SimTime time = 0;
+    std::uint64_t seq = 0;
     std::uint32_t next = kNil;
+    std::uint32_t self = kNil;  // own index, so dispatch needs no lookup
   };
-  /// Sort key plus pool reference — what ready_ and the overflow heap hold.
-  /// Sorting and heap sifts move 24-byte keys and compare without touching
-  /// the pool, never the event record itself.
+  /// Raw storage for one record; blocks of these are never initialised as
+  /// a whole (records are placement-constructed on first use).
+  struct alignas(Node) NodeStorage {
+    unsigned char bytes[sizeof(Node)];
+  };
+  /// Sort key plus record reference — what the overflow heap holds, so heap
+  /// sifts move 24-byte keys and never touch the records.
   struct EventKey {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t node;
-  };
-  struct Sooner {
-    bool operator()(const EventKey& a, const EventKey& b) const {
-      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-    }
   };
   struct Later {
     bool operator()(const EventKey& a, const EventKey& b) const {
@@ -184,50 +194,57 @@ class EventQueue {
     }
   };
 
-  std::uint32_t acquire_node() {
-    if (free_head_ != kNil) {
-      const std::uint32_t idx = free_head_;
-      free_head_ = pool_[idx].next;
-      return idx;
-    }
-    pool_.emplace_back();
-    return static_cast<std::uint32_t>(pool_.size() - 1);
+  [[nodiscard]] Node& node(std::uint32_t idx) const {
+    return *std::launder(reinterpret_cast<Node*>(
+        blocks_[idx / kNodesPerBlock][idx % kNodesPerBlock].bytes));
   }
-  void release_node(std::uint32_t idx) {
-    pool_[idx].next = free_head_;
-    free_head_ = idx;
+  std::uint32_t acquire_node();
+  void release_node(Node& nd) {
+    nd.next = free_head_;
+    free_head_ = nd.self;
   }
 
-  /// Allocates a pool node for an event at `t`, routes it into the wheel,
-  /// ready_ or the overflow heap, and returns the node index; the caller
+  /// Acquires a record for an event at `t`, links it into the cursor chain,
+  /// a wheel slot or the overflow heap, and returns its index; the caller
   /// fills in the action (by move, or in place via emplace).
   std::uint32_t route_event(SimTime t);
+  /// Links `idx` (time `t`) into the cursor chain behind every event that
+  /// runs before it.
+  void insert_cursor(std::uint32_t idx, SimTime t);
 
   /// Returns the next event in (time, seq) order without executing it, or
-  /// nullptr when empty. May drain the next occupied wheel slot into
-  /// `ready_`. Sets `from_heap` to where the event lives.
-  const Event* peek_next(bool& from_heap);
-  /// Pops the event returned by peek_next and runs it.
-  void execute(bool from_heap);
-  /// Advances the wheel cursor to now_'s slot, draining its bucket.
+  /// nullptr when empty. May move the next occupied wheel slot's chain into
+  /// the cursor chain. Sets `from_heap` to where the event lives.
+  Node* peek_next(bool& from_heap);
+  /// Unlinks the event returned by peek_next and runs it in place.
+  void execute(Node& nd, bool from_heap);
+  /// Advances the wheel cursor to now_'s slot, entering its chain.
   void sync_cursor();
-  /// Sorts bucket at absolute slot `abs_slot` into ready_, making it the
-  /// cursor slot.
-  void drain_slot(std::uint64_t abs_slot);
+  /// Makes the chain of absolute slot `abs_slot` the cursor chain (sorting
+  /// it if it received an out-of-order event).
+  void enter_slot(std::uint64_t abs_slot);
+  /// Stable merge sort of the cursor chain by time. A slot chain is
+  /// appended in seq order, so a stable sort by time is (time, seq) order.
+  void sort_cursor_chain();
   /// Absolute index of the first occupied slot after cursor_, or UINT64_MAX.
   [[nodiscard]] std::uint64_t next_occupied_slot() const;
 
   // --- event storage --------------------------------------------------------
-  std::vector<Node> pool_;
-  std::uint32_t free_head_ = kNil;  // head of the released-node LIFO
+  std::vector<std::unique_ptr<NodeStorage[]>> blocks_;
+  std::uint32_t constructed_ = 0;   // records constructed so far
+  std::uint32_t free_head_ = kNil;  // head of the released-record LIFO
+  std::size_t pending_ = 0;         // events scheduled and not yet run
+  std::size_t running_ = 0;         // records whose action is executing
 
   // --- timer wheel (near future) -------------------------------------------
-  std::array<std::uint32_t, kNumSlots> slot_head_;  // per-slot node chain
-  std::array<std::uint64_t, kNumSlots / 64> occupied_{};
-  std::size_t bucket_count_ = 0;  // events residing in wheel slots
-  std::uint64_t cursor_ = 0;      // absolute slot index of ready_'s slot
-  std::vector<EventKey> ready_;   // drained cursor slot, sorted (time, seq)
-  std::size_t ready_pos_ = 0;
+  std::array<std::uint32_t, kNumSlots> slot_head_;  // per-slot chain
+  std::array<std::uint32_t, kNumSlots> slot_tail_;  // valid where head != kNil
+  std::array<std::uint64_t, kBitmapWords> occupied_{};
+  std::array<std::uint64_t, kBitmapWords> unsorted_{};  // chains to sort on entry
+  std::size_t occupied_slots_ = 0;
+  std::uint64_t cursor_ = 0;  // absolute slot index of the cursor chain
+  std::uint32_t cur_head_ = kNil;  // cursor chain, in (time, seq) order
+  std::uint32_t cur_tail_ = kNil;
 
   // --- overflow heap (far future) ------------------------------------------
   std::vector<EventKey> heap_;  // binary min-heap via std::push_heap/pop_heap
@@ -242,6 +259,7 @@ class EventQueue {
   std::uint64_t run_wall_ns_ = 0;
 
   EventTraceSink* trace_sink_ = nullptr;
+  mutable std::vector<char> audit_seen_;  // audit() scratch, one flag per record
 
   // Telemetry bindings (invalid/no-op until bind_telemetry).
   telemetry::CounterHandle tm_executed_;

@@ -26,8 +26,8 @@ class InlineFunction {
   static constexpr std::size_t kCapacity = 48;
 
   /// True if `F` will be stored inline (no heap allocation). Requires a
-  /// nothrow move constructor: inline storage is relocated when the
-  /// engine's event vectors grow or sort.
+  /// nothrow move constructor: inline storage is relocated when an
+  /// InlineFunction is moved (e.g. into an event record or a heap vector).
   template <typename F>
   static constexpr bool fits_inline() {
     return sizeof(F) <= kCapacity && alignof(F) <= alignof(std::max_align_t) &&
@@ -93,6 +93,14 @@ class InlineFunction {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// Destroys the stored callable, leaving this empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(storage_);
+      ops_ = nullptr;
+    }
+  }
+
  private:
   struct Ops {
     void (*invoke)(void* self);
@@ -117,13 +125,6 @@ class InlineFunction {
       [](void* dst, void* src) noexcept { *static_cast<D**>(dst) = *static_cast<D**>(src); },
       [](void* self) noexcept { delete *static_cast<D**>(self); },
   };
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
 
   alignas(std::max_align_t) unsigned char storage_[kCapacity];
   const Ops* ops_ = nullptr;

@@ -1,5 +1,6 @@
 #include "sim/parallel.hpp"
 
+#include <algorithm>
 #include <barrier>
 #include <exception>
 #include <mutex>
@@ -40,9 +41,10 @@ void ParallelRuntime::add_channel(std::size_t from_shard, std::size_t to_shard,
   channels_.push_back(std::move(ch));
 }
 
-void ParallelRuntime::schedule_global(SimTime t, std::function<void()> fn) {
+void ParallelRuntime::schedule_global(SimTime t, InlineFunction fn) {
   if (t < now_) throw std::logic_error("ParallelRuntime: scheduling a global into the past");
-  globals_.emplace(t, std::move(fn));
+  globals_.push_back(Global{t, global_seq_++, std::move(fn)});
+  std::push_heap(globals_.begin(), globals_.end(), GlobalLater{});
 }
 
 void ParallelRuntime::add_window_hook(SimTime period_ps, std::function<void(SimTime)> fn) {
@@ -60,7 +62,7 @@ void ParallelRuntime::add_window_hook(SimTime period_ps, std::function<void(SimT
 SimTime ParallelRuntime::next_target(SimTime cur, SimTime end) const {
   SimTime next = end;
   if (window_ps_ != UINT64_MAX && end - cur > window_ps_) next = cur + window_ps_;
-  if (!globals_.empty() && globals_.begin()->first < next) next = globals_.begin()->first;
+  if (!globals_.empty() && globals_.front().t < next) next = globals_.front().t;
   for (const auto& hook : hooks_)
     if (hook.next_due < next) next = hook.next_due;
   return next;
@@ -81,9 +83,10 @@ void ParallelRuntime::run_globals() {
   }
   // Callbacks may schedule further globals at the current time; keep
   // draining until none are due (mirrors the event queue's same-time FIFO).
-  while (!globals_.empty() && globals_.begin()->first <= now_) {
-    auto fn = std::move(globals_.begin()->second);
-    globals_.erase(globals_.begin());
+  while (!globals_.empty() && globals_.front().t <= now_) {
+    std::pop_heap(globals_.begin(), globals_.end(), GlobalLater{});
+    InlineFunction fn = std::move(globals_.back().fn);
+    globals_.pop_back();
     fn();
   }
 }

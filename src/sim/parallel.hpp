@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -71,8 +70,9 @@ class ParallelRuntime {
   /// Schedules `fn` at absolute virtual time `t`, executed single-threaded
   /// while all shards are quiesced at `t`. FIFO order for equal times. May
   /// only be called from the main thread (outside run_until) or from
-  /// another global callback — never from shard events.
-  void schedule_global(SimTime t, std::function<void()> fn);
+  /// another global callback — never from shard events. A closure that
+  /// fits InlineFunction re-arms without allocating (periodic ticks).
+  void schedule_global(SimTime t, InlineFunction fn);
 
   /// Registers a periodic hook on the global timeline: `fn(due)` runs
   /// single-threaded at every multiple of `period_ps` while all shards are
@@ -161,7 +161,18 @@ class ParallelRuntime {
   std::vector<std::vector<Channel*>> incoming_;  // per destination shard
   std::vector<std::vector<Channel*>> outgoing_;  // per source shard
   SimTime window_ps_ = UINT64_MAX;
-  std::multimap<SimTime, std::function<void()>> globals_;
+  struct Global {
+    SimTime t = 0;
+    std::uint64_t seq = 0;  // FIFO among equal times
+    InlineFunction fn;
+  };
+  struct GlobalLater {
+    bool operator()(const Global& a, const Global& b) const {
+      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+    }
+  };
+  std::vector<Global> globals_;  // binary min-heap by (t, seq)
+  std::uint64_t global_seq_ = 0;
   std::vector<WindowHook> hooks_;
   Executor executor_;
   SimTime now_ = 0;

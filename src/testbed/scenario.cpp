@@ -325,7 +325,7 @@ std::unique_ptr<Testbed> Scenario::build() {
     entry.port = std::make_unique<nic::Port>(tb->runtime_->shard(shard_of[i]), d.chip,
                                              d.link_mbit, port_seed);
     if (!d.rx_store) entry.port->rx_queue(0).set_store(false);
-    tb->devices_.emplace(d.id, std::move(entry));
+    if (tb->devices_.emplace(d.id, std::move(entry)).second) tb->device_ids_.push_back(d.id);
   }
 
   // 7. Links, in declaration order (duplex expands in place). A link whose

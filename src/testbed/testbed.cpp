@@ -39,13 +39,6 @@ std::pair<int, int> Testbed::link_ends(std::size_t index) const {
   return {links_[index].from, links_[index].to};
 }
 
-std::vector<int> Testbed::device_ids() const {
-  std::vector<int> ids;
-  ids.reserve(devices_.size());
-  for (const auto& [id, entry] : devices_) ids.push_back(id);
-  return ids;
-}
-
 dut::Forwarder& Testbed::forwarder(std::size_t index) {
   if (index >= forwarders_.size())
     throw std::out_of_range("Testbed::forwarder: index out of range");

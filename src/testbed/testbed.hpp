@@ -71,8 +71,9 @@ class Testbed {
   [[nodiscard]] wire::Link& link_at(std::size_t index);
   /// Device ids {from, to} of the i-th link.
   [[nodiscard]] std::pair<int, int> link_ends(std::size_t index) const;
-  /// All declared device ids, ascending.
-  [[nodiscard]] std::vector<int> device_ids() const;
+  /// All declared device ids, ascending (fixed at build, so health
+  /// checkers walk it every tick without allocating).
+  [[nodiscard]] const std::vector<int>& device_ids() const { return device_ids_; }
 
   // --- runtime -------------------------------------------------------------
 
@@ -102,7 +103,7 @@ class Testbed {
   /// shard) timeline: it runs single-threaded while every shard is
   /// quiesced at `t`, so it may touch any shard's components. This is
   /// where periodic checks (HealthMonitor ticks) belong.
-  void schedule_global(sim::SimTime t, std::function<void()> fn) {
+  void schedule_global(sim::SimTime t, sim::InlineFunction fn) {
     runtime_->schedule_global(t, std::move(fn));
   }
 
@@ -193,6 +194,7 @@ class Testbed {
   std::vector<std::unique_ptr<fault::FaultPlane>> planes_;  // one per shard
   std::deque<wire::FrameChannel> channels_;
   std::map<int, DeviceEntry> devices_;
+  std::vector<int> device_ids_;  // keys of devices_, ascending
   std::vector<LinkEntry> links_;
   std::vector<std::unique_ptr<dut::Forwarder>> forwarders_;
   std::vector<std::unique_ptr<dut::VSwitch>> vswitches_;

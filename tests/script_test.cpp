@@ -463,6 +463,34 @@ TEST(ScriptBindings, RuntimeReleasesScriptStateWhenDestroyed) {
   }
 }
 
+TEST(ScriptBindings, DeadRuntimesPoolIsNotFreedIntoBySharedDevice) {
+  // Devices come from the process-global table, script pools die with
+  // their runtime. A runtime that sends on a device and then goes away
+  // must not leave its last batch in the queue: the next runtime's send
+  // would free it into the destroyed pool.
+  const char* script = R"(
+    function master()
+      local dev = device.config(7)
+      mem = memory.createMemPool()
+      local bufs = mem:bufArray(4)
+      bufs:alloc(60)
+      sent = dev:getTxQueue(0):send(bufs)
+    end
+  )";
+  auto& queue = mc::Device::config(7).get_tx_queue(0);
+  for (int runtime = 0; runtime < 2; ++runtime) {
+    SCOPED_TRACE(runtime);
+    mc::reset_run_state();
+    {
+      sc::ScriptRuntime rt(script);
+      rt.run_master();
+      EXPECT_EQ(rt.master().get_global("sent").as_number(), 4);
+      EXPECT_EQ(queue.in_flight(), 4u);
+    }
+    EXPECT_EQ(queue.in_flight(), 0u);
+  }
+}
+
 TEST(ScriptBindings, MissingMasterIsAnError) {
   sc::ScriptRuntime runtime("x = 1");
   EXPECT_THROW(runtime.run_master(), sc::ScriptError);

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/clock_sync.hpp"
@@ -97,7 +101,7 @@ TEST(EventQueue, RoutesNearTimersToWheelAndFarToHeap) {
   EXPECT_EQ(q.heap_scheduled(), 0u);
   q.schedule_in(ms::EventQueue::kHorizonPs, [] {});  // first heap time
   EXPECT_EQ(q.heap_scheduled(), 1u);
-  q.schedule_in(0, [] {});  // cursor slot: wheel (sorted ready insert)
+  q.schedule_in(0, [] {});  // cursor slot: wheel (sorted cursor-chain insert)
   EXPECT_EQ(q.wheel_scheduled(), 2u);
   q.run();
   EXPECT_EQ(q.executed(), 3u);
@@ -165,7 +169,7 @@ TEST(EventQueue, DeterminismPropertyAgainstReferenceOrder) {
   // Randomized schedule mixing wheel, heap, boundary and same-time events,
   // partly scheduled from inside running events. Execution order must equal
   // the specification: stable sort by time with scheduling order as the
-  // tie-break — independently of which structure (wheel slot, ready buffer,
+  // tie-break — independently of which structure (wheel slot, cursor chain,
   // heap) each event traverses.
   std::mt19937_64 rng(0xE1E77);
   for (int trial = 0; trial < 20; ++trial) {
@@ -210,6 +214,145 @@ TEST(EventQueue, DeterminismPropertyAgainstReferenceOrder) {
       ASSERT_EQ(executed[i], scheduled[i].seq) << "trial " << trial << " position " << i;
     }
   }
+}
+
+// Test access to the engine's record freelist, to inject the corruption
+// audit() exists to catch.
+class moongen::sim::EventQueueProbe {
+ public:
+  /// Releases the record at the head of the freelist a second time.
+  static void release_free_head_again(EventQueue& q) { q.release_node(q.node(q.free_head_)); }
+};
+
+TEST(EventQueue, OutOfOrderSlotRunsInTimeSeqOrder) {
+  // 10k events scheduled in reverse time order into ONE future wheel slot,
+  // with time ties: the slot is sorted once when the cursor reaches it and
+  // must run in (time, seq) order.
+  ms::EventQueue q;
+  const ms::SimTime base = 10 * ms::EventQueue::kSlotWidth;
+  constexpr int kEvents = 10'000;
+  std::vector<std::pair<ms::SimTime, int>> ran;
+  ran.reserve(kEvents);
+  for (int i = 0; i < kEvents; ++i) {
+    const ms::SimTime t = base + static_cast<ms::SimTime>((kEvents - 1 - i) / 2);  // pairs tie
+    q.schedule_at(t, [&ran, &q, i] { ran.emplace_back(q.now(), i); });
+  }
+  EXPECT_EQ(q.audit(), "");
+  q.run();
+  ASSERT_EQ(ran.size(), static_cast<std::size_t>(kEvents));
+  for (std::size_t k = 1; k < ran.size(); ++k) {
+    const auto& a = ran[k - 1];
+    const auto& b = ran[k];
+    ASSERT_TRUE(a.first < b.first || (a.first == b.first && a.second < b.second))
+        << "position " << k;
+  }
+  EXPECT_EQ(q.audit(), "");
+}
+
+TEST(EventQueue, OutOfOrderInsertsIntoTheCursorSlot) {
+  // Events scheduled into the slot being served land in its chain behind
+  // everything that runs at or before them.
+  ms::EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(1'000, [&] {
+    order.push_back(0);
+    q.schedule_at(5'000, [&] { order.push_back(4); });
+    q.schedule_at(3'000, [&] { order.push_back(2); });  // before the tail
+    q.schedule_at(1'000, [&] { order.push_back(1); });  // at now: head
+    q.schedule_at(3'000, [&] { order.push_back(3); });  // ties stay FIFO
+    EXPECT_EQ(q.audit(), "");
+  });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, EqualTimesStayFifoAcrossCursorWheelAndHeap) {
+  // Six events at one time T reach the engine through every structure:
+  // the heap (T beyond the horizon), a wheel slot (T within it) and the
+  // cursor chain (T in the slot being served). They run in scheduling order.
+  ms::EventQueue q;
+  const ms::SimTime t = ms::EventQueue::kHorizonPs + 3 * ms::EventQueue::kSlotWidth + 7;
+  std::vector<int> order;
+  const auto at_t = [&](int id) { q.schedule_at(t, [&order, id] { order.push_back(id); }); };
+  at_t(0);  // heap
+  at_t(1);  // heap
+  q.schedule_at(t - ms::EventQueue::kHorizonPs / 2, [&] {
+    at_t(2);  // wheel
+    at_t(3);  // wheel
+  });
+  q.schedule_at(t - 1, [&] {
+    at_t(4);  // cursor chain: t is in the slot being served
+    at_t(5);
+  });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.heap_scheduled(), 3u);  // 0, 1 and the t - 1 event
+  EXPECT_EQ(q.audit(), "");
+}
+
+TEST(EventQueue, ActionSchedulingMoreThanABlockRunsInPlace) {
+  // One running action schedules more events than a storage block holds:
+  // a new block is allocated while that action's own record is live, and
+  // records never move, so the running closure's captures stay valid.
+  ms::EventQueue q;
+  const std::size_t n = ms::EventQueue::kNodesPerBlock + 100;
+  std::size_t fired = 0;
+  std::vector<int> witness{1, 2, 3};
+  q.schedule_at(0, [&q, &fired, n, witness] {
+    for (std::size_t i = 0; i < n; ++i)
+      q.schedule_in(static_cast<ms::SimTime>(i % 7) * 10'000, [&fired] { ++fired; });
+    // Still this closure's own captures, read after the pool grew.
+    EXPECT_EQ(witness, (std::vector<int>{1, 2, 3}));
+  });
+  q.run();
+  EXPECT_EQ(fired, n);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.audit(), "");
+}
+
+TEST(EventQueue, ThrowingActionLeavesTheQueueConsistent) {
+  ms::EventQueue q;
+  int ran = 0;
+  auto held = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = held;
+  q.schedule_at(100, [&q, &ran, held = std::move(held)] {
+    q.schedule_at(200, [&ran] { ++ran; });
+    throw std::runtime_error("boom");
+  });
+  q.schedule_at(300, [&ran] { ++ran; });
+  EXPECT_THROW(q.run(), std::runtime_error);
+  // The thrown action was destroyed and its record released.
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(q.audit(), "");
+  EXPECT_EQ(q.pending(), 2u);
+  q.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(q.audit(), "");
+}
+
+TEST(EventQueue, AuditReportsADoubleRelease) {
+  ms::EventQueue q;
+  q.schedule_at(100, [] {});
+  q.schedule_at(200, [] {});
+  q.run_until(150);
+  EXPECT_EQ(q.audit(), "");
+  ms::EventQueueProbe::release_free_head_again(q);
+  const std::string err = q.audit();
+  EXPECT_NE(err.find("reachable twice"), std::string::npos) << err;
+}
+
+TEST(EventQueue, DestroyingTheQueueReleasesPendingActions) {
+  auto held = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = held;
+  {
+    ms::EventQueue q;
+    q.schedule_at(100, [held] {});
+    q.schedule_at(ms::EventQueue::kHorizonPs * 2, [held] {});
+    q.schedule_at(0, [held] {});
+    held.reset();
+    q.run_until(50);
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(EventQueue, InlineSchedulingRejectsNothingThatFits) {
@@ -349,6 +492,19 @@ TEST(ClockSync, RobustAgainstOutliers) {
   // With 7 samples and median selection, failures must stay rare even at
   // 20 % outlier rate.
   EXPECT_LE(failures, 5);
+}
+
+TEST(ClockSync, AttemptsOutsideTheStackBufferAreRejected) {
+  std::mt19937_64 rng(3);
+  ms::PtpClock a({.increment_ps = 6'400}, 1);
+  ms::PtpClock b({.increment_ps = 6'400}, 2);
+  ms::ClockSyncConfig cfg;
+  for (const int bad : {0, ms::ClockSyncConfig::kMaxAttempts + 1}) {
+    cfg.attempts = bad;
+    EXPECT_THROW(ms::synchronize_clocks(a, b, 0, rng, cfg), std::invalid_argument) << bad;
+  }
+  cfg.attempts = ms::ClockSyncConfig::kMaxAttempts;
+  EXPECT_LE(std::llabs(ms::synchronize_clocks(a, b, 0, rng, cfg).residual_ps), 2 * 6'400);
 }
 
 TEST(ClockSync, MeasurementCancelsConstantAccessTime) {

@@ -144,6 +144,106 @@ TEST(TokenBucket, RefillIsDeterministicFromVirtualTime) {
 }
 
 // ---------------------------------------------------------------------------
+// Egress frame rings (views into uninitialised storage)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Uninitialised storage for `n` frames plus a ring over it; clear()s the
+/// ring before the storage goes, as VSwitch does.
+struct RingBed {
+  explicit RingBed(std::size_t n)
+      : storage(std::make_unique_for_overwrite<unsigned char[]>(n * sizeof(mn::Frame))) {
+    ring.slots = reinterpret_cast<mn::Frame*>(storage.get());
+    ring.capacity = n;
+  }
+  ~RingBed() { ring.clear(); }
+  std::unique_ptr<unsigned char[]> storage;
+  md::FrameRing ring;
+};
+
+mn::Frame seq_frame(std::uint64_t seq) { return mn::make_frame(std::vector<std::uint8_t>(60), true, seq); }
+
+}  // namespace
+
+TEST(FrameRing, WrapsAroundInFifoOrder) {
+  RingBed bed(4);
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  // Keep 3 of 4 slots filled so head walks past the end many times.
+  for (int i = 0; i < 3; ++i) bed.ring.push(seq_frame(pushed++));
+  for (int round = 0; round < 20; ++round) {
+    bed.ring.push(seq_frame(pushed++));
+    EXPECT_TRUE(bed.ring.full());
+    EXPECT_EQ(bed.ring.pop().seq, popped++);
+    EXPECT_LT(bed.ring.head, bed.ring.capacity);
+  }
+  EXPECT_EQ(bed.ring.count, 3u);
+  while (!bed.ring.empty()) EXPECT_EQ(bed.ring.pop().seq, popped++);
+  EXPECT_EQ(popped, pushed);
+}
+
+TEST(FrameRing, EmptiedRingRestartsAtSlotZero) {
+  RingBed bed(8);
+  for (std::uint64_t i = 0; i < 3; ++i) bed.ring.push(seq_frame(i));
+  (void)bed.ring.pop();
+  (void)bed.ring.pop();
+  EXPECT_EQ(bed.ring.head, 2u);
+  (void)bed.ring.pop();
+  EXPECT_TRUE(bed.ring.empty());
+  EXPECT_EQ(bed.ring.head, 0u);
+  // One frame at a time only ever uses slot 0.
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    bed.ring.push(seq_frame(i));
+    EXPECT_EQ(&bed.ring.front(), bed.ring.slots);
+    EXPECT_EQ(bed.ring.pop().seq, i);
+    EXPECT_EQ(bed.ring.head, 0u);
+  }
+}
+
+TEST(FrameRing, CapacityOneHoldsOneFrame) {
+  RingBed bed(1);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(bed.ring.empty());
+    bed.ring.push(seq_frame(i));
+    EXPECT_TRUE(bed.ring.full());
+    EXPECT_EQ(bed.ring.front().seq, i);
+    EXPECT_EQ(bed.ring.pop().seq, i);
+  }
+}
+
+TEST(FrameRing, PopAndClearDestroyFrames) {
+  auto payload = mn::make_payload(std::vector<std::uint8_t>(60));
+  const std::weak_ptr<const mn::Payload> watch = payload;
+  {
+    RingBed bed(4);
+    for (std::uint64_t i = 0; i < 3; ++i) bed.ring.push(mn::Frame{.data = payload, .seq = i});
+    payload.reset();
+    (void)bed.ring.pop();
+    EXPECT_EQ(watch.use_count(), 2);
+  }  // ~RingBed clear()s the two frames still queued
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(VSwitch, DestructionReleasesFramesStillQueued) {
+  std::weak_ptr<const mn::Payload> watch;
+  {
+    md::VSwitchConfig cfg;
+    cfg.tenants = {tenant(10, 0)};
+    cfg.tenants[0].queue_frames = 64;
+    VsBed bed(cfg, /*out_mbit=*/100);  // egress far below ingress: rings fill
+    const mn::Frame f = tagged_frame(10);
+    watch = f.data;
+    auto& q = bed.gen_tx.tx_queue(0);
+    for (int i = 0; i < 200; ++i) q.post(mn::Frame(f));
+    bed.events.run_until(50 * ms::kPsPerUs);
+    EXPECT_GT(bed.vsw.queued(), 0u);
+    bed.check_conservation();
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+// ---------------------------------------------------------------------------
 // Match tables and conservation
 // ---------------------------------------------------------------------------
 
